@@ -1,9 +1,10 @@
-"""§V screening — non-dominance and potential optimality via LP.
+"""§V screening — closed-form non-dominance, LP potential optimality.
 
 "20 out of the 23 MM ontologies are non-dominated and potentially
 optimal.  As a result, this SA can only discard three MM ontologies."
-The benchmark measures the complete screening (up to 23 x 22 dominance
-LPs plus 20 potential-optimality LPs through scipy/HiGHS).
+The benchmark measures the complete screening: the 23 x 22 dominance
+matrix in closed form (one box-intersect-simplex greedy over every
+pair) plus 20 potential-optimality LPs through scipy/HiGHS.
 """
 
 from conftest import report

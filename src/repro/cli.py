@@ -142,8 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         metavar="WORKSPACE",
         help=(
-            "workspace JSON files to evaluate; defaults to the built-in "
-            "multimedia case study"
+            "workspace JSON files or registry directories (expanded "
+            "to their *.json files) to evaluate; defaults to the "
+            "built-in multimedia case study"
         ),
     )
     p_batch.add_argument(
@@ -636,6 +637,7 @@ def _cmd_batch(
     :class:`~repro.core.engine.BatchEvaluator` array programs.
     """
     from .core.engine import BatchEvaluator
+    from .core.runtime import expand_registry_source
     from .core.workspace import (
         compile_cache_info,
         compile_cached,
@@ -645,7 +647,7 @@ def _cmd_batch(
     compiled_problems = []
     skipped = []
     if workspaces:
-        for path in workspaces:
+        for path in expand_registry_source(workspaces):
             try:
                 compiled_problems.append(load_compiled(path))
             except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -1688,13 +1690,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 or args.stats
             )
             if registry_mode:
-                if not args.workspaces:
+                from .core.runtime import expand_registry_source
+
+                workspaces = expand_registry_source(args.workspaces)
+                if not workspaces:
                     raise SystemExit(
                         "batch --workers/--index/--refresh/--group/"
-                        "--trace/--stats needs explicit workspace files"
+                        "--trace/--stats needs explicit workspace files "
+                        "or a registry directory"
                     )
                 output, exit_code = _cmd_batch_sharded(
-                    args.workspaces,
+                    workspaces,
                     args.objectives,
                     args.simulate,
                     args.method,

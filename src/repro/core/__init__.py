@@ -5,8 +5,11 @@ system the paper exercises: objective hierarchies (§II), imprecise
 component utilities and hierarchical trade-off weights (§III), the
 additive evaluation with minimum/average/maximum overall utilities
 (§IV), and the three sensitivity analyses of §V (weight-stability
-intervals, LP-based dominance / potential optimality, Monte Carlo
-simulation over weights).
+intervals, dominance / potential optimality, Monte Carlo simulation
+over weights).  The dominance matrix is solved in closed form (the
+feasible weights are a box intersected with the simplex); HiGHS LPs
+run only for potential optimality and the per-pair ``dominates``
+oracle.
 """
 
 from .dominance import (
@@ -21,7 +24,6 @@ from .genreg import RegistrySpec, generate_problem, preset, write_registry
 from .engine import (
     BatchEvaluator,
     CompiledProblem,
-    batch_dominance,
     compile_problem,
     rank_matrix,
 )
@@ -77,7 +79,6 @@ __all__ = [
     "BatchEvaluator",
     "CompiledProblem",
     "compile_problem",
-    "batch_dominance",
     "rank_matrix",
     "compile_cached",
     "load_compiled",

@@ -26,8 +26,14 @@ Formulation (following Mateos, Ríos-Insua & Jiménez [25]):
   has optimum ``t >= 0`` — there is some admissible combination of
   weights and utilities making ``a`` best.
 
-Both LPs run through scipy's HiGGS solver by default, or the pure-
-Python :mod:`repro.core.simplex` fallback (``solver="simplex"``).
+The dominance LP's feasible set is always the weight box intersected
+with the simplex, so its optimum has an exact greedy (fractional
+knapsack) solution: :func:`dominance_matrix` screens every pair of a
+problem at once through the closed-form kernel
+:func:`repro.core.engine.stacked_dominance`.  scipy's HiGHS solver
+runs only where a real LP remains — :func:`potentially_optimal`'s
+max-min over rivals — and in :func:`dominates`, the per-pair LP
+statement of the rule kept as an independent oracle for the kernel.
 """
 
 from __future__ import annotations
@@ -38,13 +44,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .engine import (
-    batch_dominance,
+    _FEAS_TOL,
+    _as_compiled,
     box_simplex_argmin,
     box_simplex_minimum,
+    stacked_dominance,
     weight_polytope,
 )
 from .model import AdditiveModel
-from .simplex import linprog_simplex
 
 __all__ = [
     "DominanceResult",
@@ -55,8 +62,6 @@ __all__ = [
     "screen",
 ]
 
-_FEAS_TOL = 1e-9
-
 
 def _solve_lp(
     c: np.ndarray,
@@ -65,50 +70,21 @@ def _solve_lp(
     a_eq: np.ndarray,
     b_eq: np.ndarray,
     bounds: Sequence[Tuple[float, float]],
-    solver: str,
 ):
-    if solver == "scipy":
-        from scipy.optimize import linprog
+    from scipy.optimize import linprog
 
-        return linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=bounds,
-            method="highs",
-        )
-    if solver == "simplex":
-        return linprog_simplex(
-            c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds
-        )
-    raise ValueError(f"unknown solver {solver!r}; use 'scipy' or 'simplex'")
+    return linprog(
+        c,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=bounds,
+        method="highs",
+    )
 
 
-def _lp_solver(solver: str):
-    """A solver-bound LP callable for the batch engine.
-
-    Validates the solver name eagerly so a typo fails before any array
-    work starts.
-    """
-    if solver not in ("scipy", "simplex"):
-        raise ValueError(f"unknown solver {solver!r}; use 'scipy' or 'simplex'")
-
-    def solve(c, a_ub, b_ub, a_eq, b_eq, bounds):
-        return _solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, solver)
-
-    return solve
-
-
-def _weight_polytope(model: AdditiveModel) -> Tuple[np.ndarray, np.ndarray, List[Tuple[float, float]]]:
-    """(A_eq, b_eq, bounds) of ``W``: box intersect simplex."""
-    return weight_polytope(model.compiled)
-
-
-def dominates(
-    model: AdditiveModel, a: str, b: str, solver: str = "scipy"
-) -> bool:
+def dominates(model, a: str, b: str) -> bool:
     """Does alternative ``a`` dominate ``b`` over the imprecise model?
 
     True iff the worst-case utility difference (utilities of ``a`` at
@@ -116,47 +92,58 @@ def dominates(
     adversarially in ``W``) is still non-negative — and the adversarial
     *best* case is strictly positive, so identical alternatives do not
     dominate each other.
+
+    Solves the two LPs with HiGHS, one pair at a time: the independent
+    oracle the closed-form :func:`dominance_matrix` is tested against.
+    ``model`` is an :class:`~repro.core.model.AdditiveModel` or anything
+    else :func:`dominance_matrix` accepts.
     """
-    names = model.alternative_names
+    compiled = _as_compiled(model)
+    names = compiled.alternative_names
     ia, ib = names.index(a), names.index(b)
-    diff = model.u_low[ia] - model.u_up[ib]
-    a_eq, b_eq, bounds = _weight_polytope(model)
-    worst = _solve_lp(diff, None, None, a_eq, b_eq, bounds, solver)
+    diff = compiled.u_low[ia] - compiled.u_up[ib]
+    a_eq, b_eq, bounds = weight_polytope(compiled)
+    worst = _solve_lp(diff, None, None, a_eq, b_eq, bounds)
     # A near-degenerate polytope (interval widths ~1e-9) can be thinner
     # than the solver's feasibility tolerance; the box-simplex greedy is
     # exact for this LP structure, so fall back instead of raising.
     worst_value = (
         float(worst.fun)
         if worst.success
-        else box_simplex_minimum(diff, bounds)
+        else float(box_simplex_minimum(diff, bounds))
     )
     if worst_value < -_FEAS_TOL:
         return False
     # Strictness check: u(a) must be able to exceed u(b) somewhere.
-    best_diff = model.u_up[ia] - model.u_low[ib]
-    best = _solve_lp(-best_diff, None, None, a_eq, b_eq, bounds, solver)
+    best_diff = compiled.u_up[ia] - compiled.u_low[ib]
+    best = _solve_lp(-best_diff, None, None, a_eq, b_eq, bounds)
     best_value = (
         -float(best.fun)
         if best.success
-        else -box_simplex_minimum(-best_diff, bounds)
+        else -float(box_simplex_minimum(-best_diff, bounds))
     )
     return best_value > _FEAS_TOL
 
 
-def dominance_matrix(model: AdditiveModel, solver: str = "scipy") -> np.ndarray:
+def dominance_matrix(model) -> np.ndarray:
     """Boolean matrix D with ``D[i, j]`` iff alternative i dominates j.
 
-    Delegates to :func:`repro.core.engine.batch_dominance`: every
-    pairwise envelope difference is materialised as one tensor and all
-    pairs a cheap bound can decide are settled by array operations; the
-    worst-case / strictness LPs only run for the residue.
+    ``model`` is an :class:`~repro.core.model.AdditiveModel`, a
+    :class:`~repro.core.engine.CompiledProblem`, a
+    :class:`~repro.core.engine.BatchEvaluator` or a
+    :class:`~repro.core.problem.DecisionProblem`.  Runs the closed-form
+    kernel :func:`repro.core.engine.stacked_dominance` on the problem's
+    ``P = 1`` view: every pair is settled exactly, without an LP.
     """
-    return batch_dominance(model, _lp_solver(solver))
+    c = _as_compiled(model)
+    return stacked_dominance(
+        c.u_low[None], c.u_up[None], c.w_low[None], c.w_up[None]
+    )[0]
 
 
-def non_dominated(model: AdditiveModel, solver: str = "scipy") -> Tuple[str, ...]:
+def non_dominated(model: AdditiveModel) -> Tuple[str, ...]:
     """Alternatives not dominated by any other alternative."""
-    matrix = dominance_matrix(model, solver)
+    matrix = dominance_matrix(model)
     names = model.alternative_names
     dominated = matrix.any(axis=0)
     return tuple(name for i, name in enumerate(names) if not dominated[i])
@@ -165,7 +152,6 @@ def non_dominated(model: AdditiveModel, solver: str = "scipy") -> Tuple[str, ...
 def potentially_optimal(
     model: AdditiveModel,
     among: Optional[Sequence[str]] = None,
-    solver: str = "scipy",
 ) -> Tuple[str, ...]:
     """Alternatives that are best for some admissible parameters.
 
@@ -178,7 +164,7 @@ def potentially_optimal(
     unknown = [c for c in candidates if c not in names]
     if unknown:
         raise KeyError(f"unknown alternatives: {unknown}")
-    a_eq, b_eq, bounds = _weight_polytope(model)
+    a_eq, b_eq, bounds = weight_polytope(model.compiled)
     n = model.n_attributes
     winners: List[str] = []
     for a in candidates:
@@ -199,7 +185,7 @@ def potentially_optimal(
         eq = np.zeros((1, n + 1))
         eq[0, :n] = 1.0
         lp_bounds = list(bounds) + [(-10.0, 10.0)]
-        res = _solve_lp(c, a_ub, b_ub, eq, b_eq, lp_bounds, solver)
+        res = _solve_lp(c, a_ub, b_ub, eq, b_eq, lp_bounds)
         if res.success:
             t_star = -res.fun
         else:
@@ -230,15 +216,15 @@ class DominanceResult:
         return self.potentially_optimal
 
 
-def screen(model: AdditiveModel, solver: str = "scipy") -> DominanceResult:
+def screen(model: AdditiveModel) -> DominanceResult:
     """Run the full §V screening: non-dominance then potential optimality.
 
     Returns the surviving set and the discarded alternatives — in the
     paper, three ontologies are discarded and "a further analysis is
     still required to make a final selection".
     """
-    nd = non_dominated(model, solver)
-    po = potentially_optimal(model, among=nd, solver=solver)
+    nd = non_dominated(model)
+    po = potentially_optimal(model, among=nd)
     discarded = tuple(
         name for name in model.alternative_names if name not in po
     )

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,7 +66,6 @@ __all__ = [
     "sample_simplex",
     "sample_rank_order",
     "sample_in_intervals",
-    "batch_dominance",
     "stacked_dominance",
     "weight_polytope",
 ]
@@ -1075,188 +1074,106 @@ def rank_matrix(utilities: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Dominance (vectorised pre-screen + LP residue)
+# Dominance (closed-form box-intersect-simplex screening)
 # ----------------------------------------------------------------------
+
+def _check_box_meets_simplex(w_low: np.ndarray, w_up: np.ndarray) -> None:
+    """Reject weight boxes (any leading shape) that miss the simplex."""
+    low_sum = np.asarray(w_low.sum(axis=-1)).ravel()
+    up_sum = np.asarray(w_up.sum(axis=-1)).ravel()
+    bad = np.flatnonzero((low_sum > 1.0 + 1e-7) | (up_sum < 1.0 - 1e-7))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            "weight intervals do not intersect the simplex: "
+            f"sum of lowers {low_sum[k]:.4f}, sum of uppers {up_sum[k]:.4f}"
+        )
+
 
 def weight_polytope(
     compiled: CompiledProblem,
 ) -> Tuple[np.ndarray, np.ndarray, List[Tuple[float, float]]]:
     """(A_eq, b_eq, bounds) of ``W``: elicited box intersect simplex."""
+    _check_box_meets_simplex(compiled.w_low, compiled.w_up)
     n = compiled.n_attributes
-    a_eq = np.ones((1, n))
-    b_eq = np.array([1.0])
-    bounds = [
-        (float(compiled.w_low[j]), float(compiled.w_up[j])) for j in range(n)
-    ]
-    low_sum = float(compiled.w_low.sum())
-    up_sum = float(compiled.w_up.sum())
-    if low_sum > 1.0 + 1e-7 or up_sum < 1.0 - 1e-7:
-        raise ValueError(
-            "weight intervals do not intersect the simplex: "
-            f"sum of lowers {low_sum:.4f}, sum of uppers {up_sum:.4f}"
-        )
-    return a_eq, b_eq, bounds
+    bounds = list(zip(compiled.w_low.tolist(), compiled.w_up.tolist()))
+    return np.ones((1, n)), np.array([1.0]), bounds
 
 
-def box_simplex_argmin(
-    c: np.ndarray, bounds: Sequence[Tuple[float, float]]
-) -> np.ndarray:
+def box_simplex_argmin(c: np.ndarray, bounds) -> np.ndarray:
     """The exact minimiser of ``c . w`` over ``{low <= w <= up, sum w = 1}``.
 
     The dominance polytope is always a coordinate box intersected with
     the weight simplex, so its linear programs have a closed-form
     greedy solution (fractional knapsack): start every weight at its
     lower bound and spend the residual ``1 - sum(low)`` on the
-    cheapest coordinates first.  Used as the exact fallback when the
-    external LP solver rejects a near-degenerate polytope — elicited
-    intervals of width ~1e-9 leave a feasible set thinner than HiGHS's
-    feasibility tolerance, which reports *infeasible* for a set that is
-    mathematically non-empty.  Out-of-tolerance inputs (the box missing
-    the simplex by more than :func:`weight_polytope` permits) degrade
-    gracefully to the nearest box vertex instead of raising.
+    cheapest coordinates first (ties in coordinate order).
+
+    Vectorised: ``c`` is ``(..., n_att)`` and ``bounds`` holds
+    ``(low, up)`` pairs, shape ``(..., n_att, 2)`` — a list of pairs for
+    one polytope — broadcast against ``c``; the minimisers come back in
+    the broadcast ``(..., n_att)`` shape.  Out-of-tolerance inputs (the
+    box missing the simplex by more than :func:`weight_polytope`
+    permits) degrade to the nearest box vertex instead of raising.
     """
-    c = np.asarray(c, dtype=float)
-    low = np.array([b[0] for b in bounds], dtype=float)
-    up = np.array([b[1] for b in bounds], dtype=float)
-    w = low.copy()
-    residual = 1.0 - float(low.sum())
-    if residual > 0.0:
-        room = up - low
-        for j in np.argsort(c, kind="stable"):
-            take = min(float(room[j]), residual)
-            if take > 0.0:
-                w[j] += take
-                residual -= take
-            if residual <= 0.0:
-                break
+    bounds = np.asarray(bounds, dtype=float)
+    c, low, up = np.broadcast_arrays(
+        np.asarray(c, dtype=float), bounds[..., 0], bounds[..., 1]
+    )
+    order = np.argsort(c, axis=-1, kind="stable")
+    low_sorted = np.take_along_axis(low, order, axis=-1)
+    room = np.take_along_axis(up, order, axis=-1) - low_sorted
+    # Room already spent on the cheaper coordinates (exclusive cumsum).
+    spent = np.zeros(room.shape)
+    np.cumsum(room[..., :-1], axis=-1, out=spent[..., 1:])
+    residual = 1.0 - low.sum(axis=-1, keepdims=True)
+    w = np.empty(c.shape)
+    np.put_along_axis(
+        w, order, low_sorted + np.clip(residual - spent, 0.0, room), axis=-1
+    )
     return w
 
 
-def box_simplex_minimum(
-    c: np.ndarray, bounds: Sequence[Tuple[float, float]]
-) -> float:
+def box_simplex_minimum(c: np.ndarray, bounds) -> np.ndarray:
     """Exact minimum of ``c . w`` over the box-intersect-simplex polytope.
 
-    See :func:`box_simplex_argmin` for the construction and when the
-    engine reaches for it.
+    Broadcasts like :func:`box_simplex_argmin`; a single ``c`` gives a
+    scalar.
     """
     c = np.asarray(c, dtype=float)
-    return float(c @ box_simplex_argmin(c, bounds))
-
-
-def batch_dominance(
-    source: Union[DecisionProblem, CompiledProblem, object],
-    solve_lp: Callable,
-) -> np.ndarray:
-    """Boolean matrix D with ``D[i, j]`` iff alternative i dominates j.
-
-    All pairwise envelope differences are materialised as one
-    ``(n, n, n_attributes)`` tensor and every pair a cheap bound can
-    decide is settled by array ops; the adversarial LP only runs for
-    the residue.  ``solve_lp`` is
-    ``(c, a_ub, b_ub, a_eq, b_eq, bounds) -> result`` — the caller
-    picks the solver (scipy HiGHS or the pure-Python simplex).
-
-    Decision rule per pair (identical to the scalar formulation):
-
-    * worst case: ``min_{w in W} (u_low_i - u_up_j) . w >= 0``, decided
-      without an LP when the componentwise min/max already settles it;
-    * strictness: ``max_{w in W} (u_up_i - u_low_j) . w > 0``, decided
-      without an LP when every component clears the tolerance (any
-      simplex point then does) or none can reach it.
-    """
-    compiled = _as_compiled(source)
-    n = compiled.n_alternatives
-    a_eq, b_eq, bounds = weight_polytope(compiled)
-
-    # (n, n, n_att) pairwise envelope differences.
-    diff_low = compiled.u_low[:, None, :] - compiled.u_up[None, :, :]
-    diff_up = compiled.u_up[:, None, :] - compiled.u_low[None, :, :]
-    off_diagonal = ~np.eye(n, dtype=bool)
-
-    # Worst-case screen: pairs whose componentwise max is already
-    # negative can never dominate; pairs whose componentwise min is
-    # non-negative dominate under every weight vector.
-    candidate = off_diagonal & (diff_low.max(axis=2) >= -_FEAS_TOL)
-    worst_ok = candidate & (diff_low.min(axis=2) >= -_FEAS_TOL)
-    for i, j in np.argwhere(candidate & ~worst_ok):
-        res = solve_lp(diff_low[i, j], None, None, a_eq, b_eq, bounds)
-        value = (
-            float(res.fun)
-            if res.success
-            else box_simplex_minimum(diff_low[i, j], bounds)
-        )
-        if value >= -_FEAS_TOL:
-            worst_ok[i, j] = True
-
-    # Strictness screen: u(a) must be able to exceed u(b) somewhere.
-    du_min = diff_up.min(axis=2)
-    du_max = diff_up.max(axis=2)
-    strict = worst_ok & (du_min > _FEAS_TOL)  # every simplex w clears tol
-    undecided = worst_ok & ~strict & (du_max > -_FEAS_TOL)
-    for i, j in np.argwhere(undecided):
-        res = solve_lp(-diff_up[i, j], None, None, a_eq, b_eq, bounds)
-        value = (
-            -float(res.fun)
-            if res.success
-            else -box_simplex_minimum(-diff_up[i, j], bounds)
-        )
-        if value > _FEAS_TOL:
-            strict[i, j] = True
-    return strict
+    return (c * box_simplex_argmin(c, bounds)).sum(axis=-1)
 
 
 def stacked_dominance(
-    stacked: StackedProblem, solve_lp: Callable
+    u_low: np.ndarray,
+    u_up: np.ndarray,
+    w_low: np.ndarray,
+    w_up: np.ndarray,
 ) -> np.ndarray:
-    """Dominance matrices for a whole stack: (P, n, n) boolean tensor.
+    """Dominance matrices for a stack: ``(P, n, n)`` boolean tensor.
 
-    The envelope screens — the part that settles almost every pair —
-    run over the full ``(P, n, n, n_att)`` difference tensors at once;
-    only the LP residue falls back to per-pair calls, each using its
-    own member's weight polytope.  Member ``p``'s slice is identical to
-    :func:`batch_dominance` on that member alone.
+    ``D[p, i, j]`` iff alternative ``i`` dominates ``j`` in member
+    ``p``.  Inputs are the stacked envelopes ``(P, n, n_att)`` and
+    weight bounds ``(P, n_att)``; a single problem is the ``P = 1``
+    view (``u_low[None]`` ...).  The whole stack is one broadcast
+    program over the ``(P, n, n, n_att)`` pairwise envelope
+    differences, solved in closed form by :func:`box_simplex_minimum`
+    — no LP and no loop over pairs.
+
+    Decision rule per off-diagonal pair (the per-pair HiGHS oracle
+    :func:`repro.core.dominance.dominates` states the same rule):
+
+    * worst case: ``min_{w in W} (u_low_i - u_up_j) . w >= -tol``;
+    * strictness: ``max_{w in W} (u_up_i - u_low_j) . w > tol``.
+
+    The strictness LP of ``(i, j)`` is the negated worst-case LP of
+    ``(j, i)``, so one solve over all ordered pairs settles both.
     """
-    p, n = stacked.n_problems, stacked.n_alternatives
-    diff_low = stacked.u_low[:, :, None, :] - stacked.u_up[:, None, :, :]
-    diff_up = stacked.u_up[:, :, None, :] - stacked.u_low[:, None, :, :]
-    off_diagonal = ~np.eye(n, dtype=bool)[None, :, :]
-
-    candidate = off_diagonal & (diff_low.max(axis=3) >= -_FEAS_TOL)
-    worst_ok = candidate & (diff_low.min(axis=3) >= -_FEAS_TOL)
-    polytopes: dict = {}
-
-    def polytope(k: int):
-        if k not in polytopes:
-            polytopes[k] = weight_polytope(stacked.members[k])
-        return polytopes[k]
-
-    for k, i, j in np.argwhere(candidate & ~worst_ok):
-        a_eq, b_eq, bounds = polytope(k)
-        res = solve_lp(diff_low[k, i, j], None, None, a_eq, b_eq, bounds)
-        value = (
-            float(res.fun)
-            if res.success
-            else box_simplex_minimum(diff_low[k, i, j], bounds)
-        )
-        if value >= -_FEAS_TOL:
-            worst_ok[k, i, j] = True
-
-    du_min = diff_up.min(axis=3)
-    du_max = diff_up.max(axis=3)
-    strict = worst_ok & (du_min > _FEAS_TOL)
-    undecided = worst_ok & ~strict & (du_max > -_FEAS_TOL)
-    for k, i, j in np.argwhere(undecided):
-        a_eq, b_eq, bounds = polytope(k)
-        res = solve_lp(-diff_up[k, i, j], None, None, a_eq, b_eq, bounds)
-        value = (
-            -float(res.fun)
-            if res.success
-            else -box_simplex_minimum(-diff_up[k, i, j], bounds)
-        )
-        if value > _FEAS_TOL:
-            strict[k, i, j] = True
-    return strict
+    _check_box_meets_simplex(w_low, w_up)
+    bounds = np.stack([w_low, w_up], axis=-1)[:, None, None]
+    worst = box_simplex_minimum(u_low[:, :, None, :] - u_up[:, None, :, :], bounds)
+    weak = (worst >= -_FEAS_TOL) & ~np.eye(u_low.shape[1], dtype=bool)
+    return weak & ~weak.transpose(0, 2, 1)
 
 
 # ----------------------------------------------------------------------
@@ -1483,20 +1400,20 @@ class BatchEvaluator:
         )
 
     # -- §V: screening --------------------------------------------------
-    def dominance_matrix(self, solver: str = "scipy") -> np.ndarray:
-        """(n_alt, n_alt) boolean strict-dominance matrix (§V LPs)."""
+    def dominance_matrix(self) -> np.ndarray:
+        """(n_alt, n_alt) boolean strict-dominance matrix (§V screen)."""
         from .dominance import dominance_matrix as _dominance_matrix
 
         with _stage(
             "eval.dominance", n_alternatives=self.compiled.n_alternatives
         ):
-            return _dominance_matrix(self.compiled, solver=solver)
+            return _dominance_matrix(self.compiled)
 
-    def rank_intervals(self, solver: str = "scipy"):
+    def rank_intervals(self):
         """Best/worst attainable rank per alternative, from dominance."""
         from .rankintervals import rank_intervals as _rank_intervals
 
-        matrix = self.dominance_matrix(solver)
+        matrix = self.dominance_matrix()
         with _stage(
             "eval.rankintervals",
             n_alternatives=self.compiled.n_alternatives,
@@ -1914,17 +1831,16 @@ class StackedEvaluator:
         )
 
     # -- §V: screening --------------------------------------------------
-    def dominance_matrices(self, solver: str = "scipy") -> np.ndarray:
-        """(P, n, n) stacked dominance tensor (envelope screen + LPs)."""
-        from .dominance import _lp_solver
+    def dominance_matrices(self) -> np.ndarray:
+        """(P, n, n) stacked dominance tensor (one closed-form screen)."""
+        s = self.stacked
+        return stacked_dominance(s.u_low, s.u_up, s.w_low, s.w_up)
 
-        return stacked_dominance(self.stacked, _lp_solver(solver))
-
-    def rank_intervals_all(self, solver: str = "scipy") -> Tuple[dict, ...]:
+    def rank_intervals_all(self) -> Tuple[dict, ...]:
         """Attainable-rank intervals per member, from one stacked screen."""
         from .rankintervals import rank_intervals as _rank_intervals
 
-        matrices = self.dominance_matrices(solver)
+        matrices = self.dominance_matrices()
         return tuple(
             _rank_intervals(member, matrix=matrices[p])
             for p, member in enumerate(self.stacked.members)

@@ -20,7 +20,7 @@ overall utilities, and minimum and maximum overall utilities give
 further insight into the robustness of this ranking."
 
 :class:`AdditiveModel` precomputes the utility matrices once so the
-sensitivity analyses (stability sweeps, LP dominance, 10,000-run Monte
+sensitivity analyses (stability sweeps, dominance screening, 10,000-run Monte
 Carlo) evaluate weight vectors with a single matrix-vector product.
 """
 

@@ -12,7 +12,7 @@ weight/utility polytope:
 * its **worst attainable rank** is ``n - (number of alternatives a
   necessarily outranks)``.
 
-"Necessarily outranks" is exactly the pairwise dominance LP, so the
+"Necessarily outranks" is exactly pairwise dominance, so the
 bounds come straight from the dominance matrix.  They bracket every
 rank the Monte Carlo simulation can produce — a useful consistency
 check (asserted in the tests) and a cheaper, assumption-free companion
@@ -57,20 +57,19 @@ class RankInterval:
 def rank_intervals(
     model,
     matrix: Optional[np.ndarray] = None,
-    solver: str = "scipy",
 ) -> Dict[str, RankInterval]:
     """Best/worst attainable rank per alternative.
 
     ``model`` is anything carrying ``alternative_names`` and the
     compiled envelopes — an :class:`~repro.core.model.AdditiveModel`, a
     :class:`~repro.core.engine.BatchEvaluator` or a
-    :class:`~repro.core.engine.CompiledProblem`; the dominance LPs run
-    through the batch engine's vectorised pre-screen.  ``matrix`` may
-    pass a precomputed dominance matrix (``D[i, j]`` true iff
-    alternative ``i`` dominates ``j``) to avoid re-solving the LPs.
+    :class:`~repro.core.engine.CompiledProblem`; the dominance matrix
+    comes from the engine's closed-form screen.  ``matrix`` may pass a
+    precomputed dominance matrix (``D[i, j]`` true iff alternative
+    ``i`` dominates ``j``) to avoid recomputing it.
     """
     if matrix is None:
-        matrix = dominance_matrix(model, solver=solver)
+        matrix = dominance_matrix(model)
     matrix = np.asarray(matrix, dtype=bool)
     names = model.alternative_names
     n = len(names)

@@ -27,8 +27,9 @@ and full recompilation.  The oracles:
     :meth:`~repro.core.engine.StackedEvaluator.group_results` equals the
     per-problem results.
 ``dominance``
-    Stacked dominance tensors and rank intervals (LP paths) equal the
-    per-problem screens, on a deterministic subsample of chunks.
+    The closed-form stacked dominance tensors equal a per-pair HiGHS
+    :func:`~repro.core.dominance.dominates` oracle on every case, and
+    the stacked rank intervals equal the ones that oracle implies.
 
 A divergence is shrunk by greedily simplifying the failing spec while
 the failure persists, then re-emitted as a replayable JSON repro file
@@ -58,10 +59,12 @@ from .core.engine import (
     delta_compile,
     stack_problems,
 )
+from .core.dominance import dominates
 from .core.genreg import RegistrySpec
 from .core.group import members_from_spec
 from .core.performance import Alternative, PerformanceTable
 from .core.problem import DecisionProblem
+from .core.rankintervals import rank_intervals
 from .core.scales import MISSING, DiscreteScale
 from .core.weights import WeightSystem
 from .core.interval import Interval
@@ -72,6 +75,7 @@ __all__ = [
     "FuzzReport",
     "run_fuzz",
     "check_chunk",
+    "dominance_oracle",
     "shrink_spec",
     "write_repro",
     "replay",
@@ -224,12 +228,24 @@ def _mutate(
 # Oracles
 # ----------------------------------------------------------------------
 
+def dominance_oracle(model) -> np.ndarray:
+    """The dominance matrix from per-pair HiGHS LPs (:func:`dominates`).
+
+    The independent reference for the closed-form kernel; ``model`` is
+    anything :func:`~repro.core.dominance.dominates` accepts.
+    """
+    names = model.alternative_names
+    return np.array(
+        [[a != b and dominates(model, a, b) for b in names] for a in names],
+        dtype=bool,
+    )
+
+
 def check_chunk(
     spec: RegistrySpec,
     indices: Sequence[int],
     simulations: int = 24,
     members: int = 3,
-    with_dominance: bool = False,
 ) -> Tuple[List[Divergence], int]:
     """Run every oracle over one chunk of case indices.
 
@@ -328,26 +344,27 @@ def check_chunk(
                     )
                 )
 
-        # -- dominance / rank intervals (LP paths, subsampled) ---------
-        if with_dominance and stack.n_alternatives <= 6:
-            checks += stack.n_problems
-            matrices = sev.dominance_matrices()
-            intervals = sev.rank_intervals_all()
-            for pos, src in enumerate(stack.source_indices):
-                i = indices[src]
-                single = BatchEvaluator(stack.members[pos])
-                if not np.array_equal(matrices[pos], single.dominance_matrix()):
-                    out.append(
-                        Divergence(
-                            "dominance", i, "stacked dominance matrix diverges"
-                        )
+        # -- dominance / rank intervals vs the per-pair HiGHS oracle ---
+        checks += stack.n_problems
+        matrices = sev.dominance_matrices()
+        intervals = sev.rank_intervals_all()
+        for pos, src in enumerate(stack.source_indices):
+            i, member = indices[src], stack.members[pos]
+            oracle = dominance_oracle(member)
+            if not np.array_equal(matrices[pos], oracle):
+                out.append(
+                    Divergence(
+                        "dominance",
+                        i,
+                        "stacked dominance matrix diverges from the HiGHS oracle",
                     )
-                elif intervals[pos] != single.rank_intervals():
-                    out.append(
-                        Divergence(
-                            "dominance", i, "stacked rank intervals diverge"
-                        )
+                )
+            elif intervals[pos] != rank_intervals(member, matrix=oracle):
+                out.append(
+                    Divergence(
+                        "dominance", i, "stacked rank intervals diverge"
                     )
+                )
 
     # -- delta oracle ---------------------------------------------------
     for i, problem, c in zip(indices, problems, compiled):
@@ -477,7 +494,6 @@ def shrink_spec(
                     chunk_indices,
                     simulations=simulations,
                     members=members,
-                    with_dominance=divergence.oracle == "dominance",
                 )
             except Exception:
                 # A reduction that crashes still reproduces a defect;
@@ -532,7 +548,6 @@ def replay(path: Path) -> List[Divergence]:
         [int(i) for i in payload["chunk"]],
         simulations=int(payload.get("simulations", 24)),
         members=int(payload.get("members", 3)),
-        with_dominance=payload.get("oracle") == "dominance",
     )
     return found
 
@@ -549,7 +564,6 @@ def run_fuzz(
     simulations: int = 24,
     members: int = 3,
     chunk: int = 8,
-    dominance_every: int = 4,
     shrink: bool = True,
     max_repros: int = 5,
     log: Optional[Callable[[str], None]] = None,
@@ -559,7 +573,6 @@ def run_fuzz(
     ``spec`` defaults to the ``"fuzz"`` preset with ``seed`` and
     ``cases`` applied.  Divergences are shrunk (when ``shrink``) and
     written as repro files under ``out_dir`` (at most ``max_repros``).
-    Every ``dominance_every``-th chunk also runs the LP screens.
     Deterministic end to end.
     """
     if spec is None:
@@ -573,13 +586,8 @@ def run_fuzz(
         for start in range(0, cases, chunk)
     ]
     for chunk_no, indices in enumerate(chunks):
-        with_dominance = chunk_no % max(1, dominance_every) == 0
         found, checks = check_chunk(
-            spec,
-            indices,
-            simulations=simulations,
-            members=members,
-            with_dominance=with_dominance,
+            spec, indices, simulations=simulations, members=members
         )
         report.n_checks += checks
         if found:

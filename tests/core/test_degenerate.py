@@ -21,10 +21,12 @@ from repro.core.engine import (
 from repro.core.genreg import preset
 from repro.core.model import AdditiveModel, evaluate
 from repro.core.scales import MISSING
+from repro.fuzz import dominance_oracle
 
 
 class TestBoxSimplexFallback:
-    """The exact greedy LP fallback agrees with scipy where scipy works."""
+    """The exact greedy (the dominance kernel, and the fallback of the
+    remaining LPs) agrees with scipy where scipy works."""
 
     def test_matches_scipy_on_healthy_boxes(self):
         from scipy.optimize import linprog
@@ -75,9 +77,10 @@ class TestNearDegeneratePinned:
     """Fuzz preset seed 0, case 114: 9x16, near-degenerate weights.
 
     The weight box straddles the simplex by ~2e-7 — mathematically
-    feasible but thinner than HiGHS's feasibility tolerance, so the
-    dominance LPs report infeasible.  The screening must fall back to
-    the exact box-simplex solve instead of raising.
+    feasible but thinner than HiGHS's feasibility tolerance, so its LPs
+    (potential optimality, the ``dominates`` oracle) report infeasible.
+    They must fall back to the exact box-simplex solve instead of
+    raising.
     """
 
     @pytest.fixture(scope="class")
@@ -102,11 +105,10 @@ class TestNearDegeneratePinned:
         assert dominates(model, names[0], names[1]) in (True, False)
 
     def test_batch_matrix_matches_itself_across_solvers(self, pinned_problem):
+        """Closed-form kernel vs the per-pair HiGHS oracle (which falls
+        back to the exact greedy where HiGHS rejects the thin box)."""
         model = AdditiveModel(pinned_problem)
-        assert np.array_equal(
-            dominance_matrix(model, solver="scipy"),
-            dominance_matrix(model, solver="simplex"),
-        )
+        assert np.array_equal(dominance_matrix(model), dominance_oracle(model))
 
 
 class TestSingleAlternative:

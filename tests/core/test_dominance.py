@@ -18,6 +18,7 @@ from repro.core.problem import DecisionProblem
 from repro.core.scales import linguistic_0_3
 from repro.core.utility import banded_discrete_utility
 from repro.core.weights import WeightSystem
+from repro.fuzz import dominance_oracle
 
 
 def flat_problem(rows, spread=0.3):
@@ -69,15 +70,9 @@ class TestPairwiseDominance:
         assert not dominates(model, "alt1", "alt0")
 
     def test_solvers_agree(self):
+        """The closed-form matrix equals the per-pair HiGHS LPs."""
         model = AdditiveModel(flat_problem([(3, 3), (1, 1), (3, 0), (2, 2)]))
-        d_scipy = dominance_matrix(model, solver="scipy")
-        d_simplex = dominance_matrix(model, solver="simplex")
-        assert np.array_equal(d_scipy, d_simplex)
-
-    def test_unknown_solver(self):
-        model = AdditiveModel(flat_problem([(3, 3), (1, 1)]))
-        with pytest.raises(ValueError):
-            dominates(model, "alt0", "alt1", solver="mystery")
+        assert np.array_equal(dominance_matrix(model), dominance_oracle(model))
 
 
 class TestMatrixProperties:

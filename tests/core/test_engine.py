@@ -15,7 +15,6 @@ from repro.core.dominance import dominance_matrix
 from repro.core.engine import (
     BatchEvaluator,
     CompiledProblem,
-    batch_dominance,
     compile_problem,
     rank_matrix,
 )
@@ -29,6 +28,7 @@ from repro.core.rankintervals import rank_intervals
 from repro.core.scales import MISSING, linguistic_0_3
 from repro.core.utility import banded_discrete_utility
 from repro.core.weights import WeightSystem
+from repro.fuzz import dominance_oracle
 
 from ..conftest import make_small_problem
 
@@ -178,23 +178,16 @@ class TestMonteCarloEquivalence:
 
 class TestDominanceEquivalence:
     def test_batch_matches_public_matrix(self, case_model):
-        from repro.core.dominance import _lp_solver
-
-        batch = batch_dominance(case_model, _lp_solver("scipy"))
+        batch = BatchEvaluator(case_model.compiled).dominance_matrix()
         public = dominance_matrix(case_model)
         assert np.array_equal(batch, public)
 
     def test_solvers_agree_through_engine(self):
-        problem = make_small_problem()
-        model = AdditiveModel(problem)
+        """The engine's closed-form matrix equals per-pair HiGHS LPs."""
+        model = AdditiveModel(make_small_problem())
         assert np.array_equal(
-            dominance_matrix(model, solver="scipy"),
-            dominance_matrix(model, solver="simplex"),
+            model.evaluator.dominance_matrix(), dominance_oracle(model)
         )
-
-    def test_unknown_solver_fails_fast(self, case_model):
-        with pytest.raises(ValueError):
-            dominance_matrix(case_model, solver="mystery")
 
     def test_rank_intervals_accept_evaluator(self, case_model):
         via_model = rank_intervals(case_model)

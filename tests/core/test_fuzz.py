@@ -96,10 +96,9 @@ def test_replay_rejects_non_repro_payload(tmp_path):
 
 def test_check_chunk_covers_degenerate_preset():
     """The degenerate preset (single alternative, all-missing rows,
-    zero-width weights) passes every oracle including the LP screens."""
+    zero-width weights) passes every oracle including the dominance
+    oracle."""
     spec = preset("degenerate", seed=0, n_workspaces=8)
-    found, checks = fuzz.check_chunk(
-        spec, list(range(8)), with_dominance=True
-    )
+    found, checks = fuzz.check_chunk(spec, list(range(8)))
     assert found == []
     assert checks > 8

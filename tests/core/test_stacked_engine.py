@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 from repro.casestudy.problem import multimedia_problem
-from repro.core.dominance import _lp_solver
+from repro.core.dominance import dominance_matrix
 from repro.core.engine import (
     BatchEvaluator,
     StackedEvaluator,
     StackedProblem,
-    batch_dominance,
     compile_problem,
     stack_problems,
     stacked_dominance,
@@ -202,15 +201,15 @@ class TestStackedMonteCarlo:
 
 class TestStackedDominance:
     def test_matches_per_member_batch_dominance(self, small_stack):
-        solver = _lp_solver("scipy")
-        stacked = stacked_dominance(small_stack, solver)
+        s = small_stack
+        stacked = stacked_dominance(s.u_low, s.u_up, s.w_low, s.w_up)
         assert stacked.shape == (
             small_stack.n_problems,
             small_stack.n_alternatives,
             small_stack.n_alternatives,
         )
         for p, member in enumerate(small_stack.members):
-            assert np.array_equal(stacked[p], batch_dominance(member, solver))
+            assert np.array_equal(stacked[p], dominance_matrix(member))
 
     def test_evaluator_dominance_and_rank_intervals(self, small_stack):
         evaluator = StackedEvaluator(small_stack)

@@ -152,6 +152,21 @@ class TestCommands:
         assert code == 1
         assert "skipped 1 unreadable workspace(s)" in out
 
+    def test_batch_directory_evaluates_its_workspaces(self, capsys, tmp_path):
+        from repro.core import genreg
+
+        registry = tmp_path / "registry"
+        spec = genreg.preset("small", seed=0, n_workspaces=3)
+        paths = [str(p) for p in genreg.write_registry(spec, registry)]
+        for flags in ((), ("--workers", "1", "--no-cache")):
+            code, by_dir = run_cli(capsys, "batch", *flags, str(registry))
+            assert code == 0
+            assert "evaluated 3 problem(s)" in by_dir
+            assert "skipped" not in by_dir
+            code, by_files = run_cli(capsys, "batch", *flags, *paths)
+            table = lambda text: text.split("\nevaluated")[0]  # noqa: E731
+            assert table(by_dir) == table(by_files)
+
     def test_batch_workers_requires_workspaces(self, capsys):
         with pytest.raises(SystemExit):
             main(["batch", "--workers", "2"])
