@@ -633,8 +633,9 @@ def _cmd_batch(
 
     Every problem is compiled once (through the workspace LRU compile
     cache) and all downstream numbers — the Fig. 6-style ranking and
-    the optional per-problem Monte Carlo — come out of
-    :class:`~repro.core.engine.BatchEvaluator` array programs.
+    the optional per-problem Monte Carlo — come out of the engine's
+    stacked kernels through the one-problem
+    :class:`~repro.core.engine.BatchEvaluator` view.
     """
     from .core.engine import BatchEvaluator
     from .core.runtime import expand_registry_source

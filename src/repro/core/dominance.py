@@ -130,10 +130,11 @@ def dominance_matrix(model) -> np.ndarray:
 
     ``model`` is an :class:`~repro.core.model.AdditiveModel`, a
     :class:`~repro.core.engine.CompiledProblem`, a
-    :class:`~repro.core.engine.BatchEvaluator` or a
-    :class:`~repro.core.problem.DecisionProblem`.  Runs the closed-form
-    kernel :func:`repro.core.engine.stacked_dominance` on the problem's
-    ``P = 1`` view: every pair is settled exactly, without an LP.
+    :class:`~repro.core.engine.BatchEvaluator` (the engine's one-problem
+    view) or a :class:`~repro.core.problem.DecisionProblem`.  Runs the
+    closed-form kernel :func:`repro.core.engine.stacked_dominance` on
+    the problem's ``P = 1`` view: every pair is settled exactly,
+    without an LP.
     """
     c = _as_compiled(model)
     return stacked_dominance(

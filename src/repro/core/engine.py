@@ -5,14 +5,24 @@ screening and the 10,000-run Monte Carlo sensitivity analysis — is the
 hot path of this reproduction.  This module lowers a
 :class:`~repro.core.problem.DecisionProblem` into dense NumPy arrays
 *once* (:class:`CompiledProblem`) and evaluates everything downstream
-as array programs over ``(n_scenarios, n_alternatives, n_attributes)``
-tensors (:class:`BatchEvaluator`) — no Python-level loop over
-simulations or alternatives.
+as array programs over ``(n_problems, n_scenarios, n_alternatives,
+n_attributes)`` tensors — no Python-level loop over simulations or
+alternatives.
+
+One evaluator: :class:`StackedEvaluator` and the module-level kernels
+it calls (:func:`sample_weights`, :func:`rank_matrix`,
+:func:`stacked_dominance`) are the only implementation of every
+evaluation.  A single problem is the ``P = 1`` view,
+:class:`BatchEvaluator`, which runs a one-member stack and returns
+slice ``[0]``.  The independent check is the plain 2-D NumPy reference
+in :mod:`repro.fuzz` (``reference_readings`` /
+``reference_monte_carlo``), which ``repro fuzz`` compares bit-for-bit
+with the kernel.
 
 Layering: this module sits *below* :mod:`repro.core.model`,
 :mod:`repro.core.montecarlo` and :mod:`repro.core.dominance`; they keep
 their public, paper-exact APIs and delegate the numeric work here.  The
-result-object imports in :class:`BatchEvaluator` are deferred so the
+result-object imports in the evaluators are deferred so the
 dependency arrows at import time only point downward.
 
 Compiled layout
@@ -39,6 +49,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -66,6 +77,7 @@ __all__ = [
     "sample_simplex",
     "sample_rank_order",
     "sample_in_intervals",
+    "sample_weights",
     "stacked_dominance",
     "weight_polytope",
 ]
@@ -106,8 +118,7 @@ class CompiledProblem:
     Everything the sensitivity analyses touch — utility envelopes,
     weight bounds, the missing-cell mask and the utility-class key
     structure — lives here as plain ``float64``/``bool``/``intp``
-    arrays, so :class:`BatchEvaluator` never walks the object graph
-    again.
+    arrays, so the evaluators never walk the object graph again.
 
     Attributes
     ----------
@@ -456,13 +467,16 @@ class StackedProblem:
             raise ValueError("source_indices must align with members")
         self.names: Tuple[str, ...] = tuple(m.name for m in members)
 
-        self.u_low = np.stack([m.u_low for m in members])
-        self.u_avg = np.stack([m.u_avg for m in members])
-        self.u_up = np.stack([m.u_up for m in members])
-        self.missing = np.stack([m.missing for m in members])
-        self.w_low = np.stack([m.w_low for m in members])
-        self.w_avg = np.stack([m.w_avg for m in members])
-        self.w_up = np.stack([m.w_up for m in members])
+        # A one-member stack (the per-problem view) shares its member's
+        # arrays as zero-copy [None] views instead of copying them.
+        stack = np.stack if len(members) > 1 else (lambda a: a[0][None])
+        self.u_low = stack([m.u_low for m in members])
+        self.u_avg = stack([m.u_avg for m in members])
+        self.u_up = stack([m.u_up for m in members])
+        self.missing = stack([m.missing for m in members])
+        self.w_low = stack([m.w_low for m in members])
+        self.w_avg = stack([m.w_avg for m in members])
+        self.w_up = stack([m.w_up for m in members])
 
         # Key tensors are padded per member; re-pad to the stack-wide
         # maximum so one (P, n_att, max_keys) tensor covers everyone.
@@ -474,8 +488,8 @@ class StackedProblem:
             k = m.key_low.shape[1]
             self.key_low[idx, :, :k] = m.key_low
             self.key_up[idx, :, :k] = m.key_up
-        self.key_count = np.stack([m.key_count for m in members])
-        self.alt_key = np.stack([m.alt_key for m in members])
+        self.key_count = stack([m.key_count for m in members])
+        self.alt_key = stack([m.alt_key for m in members])
 
     # ------------------------------------------------------------------
     @property
@@ -521,6 +535,9 @@ class StackedProblem:
                 f"cannot patch shape {compiled.shape} into a "
                 f"{self.shape} stack"
             )
+        if len(self.members) == 1:  # views of the old member: never write
+            self.__init__([compiled], self.source_indices)
+            return
         members = list(self.members)
         members[pos] = compiled
         self.members = tuple(members)
@@ -1055,21 +1072,49 @@ def sample_in_intervals(
     return stacked, kept / drawn
 
 
+def sample_weights(
+    compiled: CompiledProblem,
+    method: str,
+    n_simulations: int,
+    rng: np.random.Generator,
+) -> Tuple[np.ndarray, float]:
+    """(weights, acceptance_rate) for one §V simulation class.
+
+    ``method`` is ``"random"`` (uniform on the simplex),
+    ``"rank_order"`` (the total order of the elicited average weights)
+    or ``"intervals"`` (uniform in the elicited weight box,
+    renormalised).
+    """
+    n = compiled.n_attributes
+    if method == "random":
+        return sample_simplex(n, n_simulations, rng), 1.0
+    if method == "rank_order":
+        order = np.argsort(-compiled.w_avg, kind="stable")
+        groups = [[int(i)] for i in order]
+        return sample_rank_order(groups, n, n_simulations, rng), 1.0
+    if method == "intervals":
+        return sample_in_intervals(
+            compiled.w_low, compiled.w_up, n_simulations, rng
+        )
+    raise ValueError(
+        f"unknown method {method!r}; expected 'random', 'rank_order' "
+        "or 'intervals'"
+    )
+
+
 # ----------------------------------------------------------------------
 # Ranking
 # ----------------------------------------------------------------------
 
 def rank_matrix(utilities: np.ndarray) -> np.ndarray:
-    """Per-scenario 1-based ranks from a (n_scenarios, n_alt) utility array.
+    """Per-scenario 1-based ranks from a ``(..., n_alt)`` utility array.
 
-    Ties resolve in alternative (column) order, matching the stable
+    Ties resolve in alternative (last-axis) order, matching the stable
     tie-break the deterministic evaluation uses.
     """
-    order = np.argsort(-utilities, axis=1, kind="stable")
+    order = np.argsort(-utilities, axis=-1, kind="stable")
     ranks = np.empty_like(order)
-    n_scen, n_alt = utilities.shape
-    rows = np.arange(n_scen)[:, None]
-    ranks[rows, order] = np.arange(1, n_alt + 1)[None, :]
+    np.put_along_axis(ranks, order, np.arange(1, order.shape[-1] + 1), axis=-1)
     return ranks
 
 
@@ -1177,395 +1222,27 @@ def stacked_dominance(
 
 
 # ----------------------------------------------------------------------
-# The batch evaluator
-# ----------------------------------------------------------------------
-
-class BatchEvaluator:
-    """Array-program evaluation over a compiled decision problem.
-
-    One instance answers every question the paper's workflow asks —
-    utility intervals, the Fig. 6 ranking, weight-scenario sweeps,
-    dominance/rank-interval screening and the §V Monte Carlo — without
-    re-walking the problem's object graph and without Python loops over
-    scenarios or alternatives.
-    """
-
-    def __init__(
-        self, source: Union[DecisionProblem, CompiledProblem, object]
-    ) -> None:
-        """Wrap ``source`` (problem, compiled form or AdditiveModel)."""
-        self.compiled = _as_compiled(source)
-
-    # -- §IV: overall-utility intervals and the Fig. 6 ranking ---------
-    def minimum_utilities(self) -> np.ndarray:
-        """(n_alternatives,) lower overall utilities (table order)."""
-        return self.compiled.u_low @ self.compiled.w_low
-
-    def average_utilities(self) -> np.ndarray:
-        """(n_alternatives,) average overall utilities (table order)."""
-        return self.compiled.u_avg @ self.compiled.w_avg
-
-    def maximum_utilities(self) -> np.ndarray:
-        """(n_alternatives,) upper overall utilities (table order)."""
-        return self.compiled.u_up @ self.compiled.w_up
-
-    def utility_intervals(self) -> Tuple[Interval, ...]:
-        """[min, max] overall utility per alternative (table order)."""
-        mins = self.minimum_utilities()
-        maxs = self.maximum_utilities()
-        return tuple(
-            Interval(float(lo), float(up)) for lo, up in zip(mins, maxs)
-        )
-
-    def ranking_order(self) -> np.ndarray:
-        """Alternative indices by decreasing average utility.
-
-        Ties break on the alternative name, exactly like the scalar
-        ``AdditiveModel.evaluate``.
-        """
-        avgs = self.average_utilities()
-        names = np.array(self.compiled.alternative_names)
-        return np.lexsort((names, -avgs))
-
-    def evaluate(self):
-        """The Fig. 6 ranking as a :class:`repro.core.model.Evaluation`."""
-        from .model import Evaluation, RankedAlternative
-
-        mins = self.minimum_utilities()
-        avgs = self.average_utilities()
-        maxs = self.maximum_utilities()
-        rows = tuple(
-            RankedAlternative(
-                name=self.compiled.alternative_names[i],
-                minimum=float(mins[i]),
-                average=float(avgs[i]),
-                maximum=float(maxs[i]),
-                rank=rank,
-            )
-            for rank, i in enumerate(self.ranking_order(), start=1)
-        )
-        return Evaluation(self.compiled.name, rows)
-
-    # -- weight-scenario sweeps ----------------------------------------
-    def utilities_for_weights(self, weights: np.ndarray) -> np.ndarray:
-        """Overall utilities under explicit weight scenarios.
-
-        ``weights`` is one vector ``(n_attributes,)`` or a scenario
-        matrix ``(n_scenarios, n_attributes)``; component utilities sit
-        at their class averages, as in §V.  Returns ``(n_alternatives,)``
-        or ``(n_alternatives, n_scenarios)`` to match the historical
-        ``AdditiveModel.utilities_for_weights`` contract.
-        """
-        w = np.asarray(weights, dtype=float)
-        if w.ndim == 1:
-            if w.shape[0] != self.compiled.n_attributes:
-                raise ValueError(
-                    f"expected {self.compiled.n_attributes} weights, "
-                    f"got {w.shape[0]}"
-                )
-            return self.compiled.u_avg @ w
-        if w.shape[1] != self.compiled.n_attributes:
-            raise ValueError(
-                f"expected weight rows of length {self.compiled.n_attributes}, "
-                f"got {w.shape[1]}"
-            )
-        return self.compiled.u_avg @ w.T
-
-    def scenario_ranks(self, weights: np.ndarray) -> np.ndarray:
-        """1-based ranks per weight scenario, ``(n_scenarios, n_alt)``."""
-        w = np.asarray(weights, dtype=float)
-        if w.ndim == 1:
-            w = w[None, :]
-        return rank_matrix(self.utilities_for_weights(w).T)
-
-    # -- §V: Monte Carlo -----------------------------------------------
-    def sample_weights(
-        self,
-        method: str,
-        n_simulations: int,
-        rng: np.random.Generator,
-        order_groups: Optional[Sequence[Sequence[int]]] = None,
-        reject_outside: bool = False,
-    ) -> Tuple[np.ndarray, float]:
-        """(weights, acceptance_rate) for one §V simulation class."""
-        n = self.compiled.n_attributes
-        if method == "random":
-            return sample_simplex(n, n_simulations, rng), 1.0
-        if method == "rank_order":
-            if order_groups is None:
-                order = np.argsort(-self.compiled.w_avg, kind="stable")
-                order_groups = [[int(i)] for i in order]
-            return sample_rank_order(order_groups, n, n_simulations, rng), 1.0
-        if method == "intervals":
-            return sample_in_intervals(
-                self.compiled.w_low,
-                self.compiled.w_up,
-                n_simulations,
-                rng,
-                reject_outside,
-            )
-        raise ValueError(
-            f"unknown method {method!r}; expected 'random', 'rank_order' "
-            "or 'intervals'"
-        )
-
-    def _sampled_utility_tensor(
-        self, n_simulations: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Full utility sampling as one (S, n_alt, n_att) gather.
-
-        Per attribute, one draw per utility class shared by every
-        alternative on the same level — the coupling that makes a draw
-        a utility *function* — then made monotone along the preference
-        order with a cumulative max.  All attributes and simulations
-        are drawn in a single uniform call over the padded key tensor.
-        """
-        c = self.compiled
-        draws = rng.uniform(
-            c.key_low[None, :, :],
-            c.key_up[None, :, :],
-            size=(n_simulations, c.n_attributes, c.key_low.shape[1]),
-        )
-        draws = np.maximum.accumulate(draws, axis=2)
-        attr_index = np.arange(c.n_attributes)[None, :]
-        # u[s, i, j] = draws[s, j, alt_key[j, i]]
-        return draws[:, attr_index, c.alt_key.T]
-
-    def monte_carlo_utilities(
-        self,
-        weights: np.ndarray,
-        rng: np.random.Generator,
-        sample_utilities: Union[bool, str] = False,
-    ) -> np.ndarray:
-        """(n_simulations, n_alternatives) overall utilities.
-
-        The ``"missing"`` path reproduces the historical scalar
-        implementation bit-for-bit: the same single uniform draw over
-        the missing cells, and per-cell corrections accumulated in the
-        same (row-major cell) order via an unbuffered scatter-add.
-        """
-        c = self.compiled
-        n_simulations = weights.shape[0]
-        if sample_utilities in (True, "all"):
-            u = self._sampled_utility_tensor(n_simulations, rng)
-            return np.einsum("saj,sj->sa", u, weights)
-        if sample_utilities == "missing":
-            utilities = weights @ c.u_avg.T
-            if c.missing.any():
-                cells = np.argwhere(c.missing)
-                rows, cols = cells[:, 0], cells[:, 1]
-                draws = rng.uniform(0.0, 1.0, size=(n_simulations, len(cells)))
-                delta = draws - c.u_avg[rows, cols][None, :]
-                np.add.at(
-                    utilities, (slice(None), rows), weights[:, cols] * delta
-                )
-            return utilities
-        if sample_utilities is not False:
-            raise ValueError(
-                f"sample_utilities must be False, True, 'all' or 'missing', "
-                f"got {sample_utilities!r}"
-            )
-        return weights @ c.u_avg.T
-
-    def monte_carlo_ranks(
-        self,
-        method: str = "intervals",
-        n_simulations: int = 10_000,
-        seed: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
-        order_groups: Optional[Sequence[Sequence[int]]] = None,
-        sample_utilities: Union[bool, str] = False,
-        reject_outside: bool = False,
-    ) -> Tuple[np.ndarray, float]:
-        """One §V simulation class as raw arrays: (ranks, acceptance)."""
-        if n_simulations < 1:
-            raise ValueError("n_simulations must be positive")
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        weights, acceptance = self.sample_weights(
-            method, n_simulations, rng, order_groups, reject_outside
-        )
-        utilities = self.monte_carlo_utilities(weights, rng, sample_utilities)
-        return rank_matrix(utilities), acceptance
-
-    def simulate(self, **kwargs):
-        """Full §V Monte Carlo as a
-        :class:`repro.core.montecarlo.MonteCarloResult`."""
-        from .montecarlo import MonteCarloResult
-
-        method = kwargs.get("method", "intervals")
-        ranks, acceptance = self.monte_carlo_ranks(**kwargs)
-        return MonteCarloResult(
-            self.compiled.alternative_names, ranks, method, acceptance
-        )
-
-    # -- §V: screening --------------------------------------------------
-    def dominance_matrix(self) -> np.ndarray:
-        """(n_alt, n_alt) boolean strict-dominance matrix (§V screen)."""
-        from .dominance import dominance_matrix as _dominance_matrix
-
-        with _stage(
-            "eval.dominance", n_alternatives=self.compiled.n_alternatives
-        ):
-            return _dominance_matrix(self.compiled)
-
-    def rank_intervals(self):
-        """Best/worst attainable rank per alternative, from dominance."""
-        from .rankintervals import rank_intervals as _rank_intervals
-
-        matrix = self.dominance_matrix()
-        with _stage(
-            "eval.rankintervals",
-            n_alternatives=self.compiled.n_alternatives,
-        ):
-            return _rank_intervals(self, matrix=matrix)
-
-    # -- group decision support (the members axis) ----------------------
-    def _check_roster(self, roster: CompiledRoster) -> None:
-        if roster.n_attributes != self.compiled.n_attributes:
-            raise ValueError(
-                f"roster covers {roster.n_attributes} attributes but the "
-                f"problem has {self.compiled.n_attributes}"
-            )
-
-    def member_average_utilities(self, roster: CompiledRoster) -> np.ndarray:
-        """(n_members, n_alternatives) average overall utilities.
-
-        One batched matrix-vector product over the members axis; member
-        ``m``'s slice is bit-identical to evaluating
-        ``problem.with_weights(members[m].weights)`` through the scalar
-        path (same per-slice operand shapes, same kernel).
-        """
-        self._check_roster(roster)
-        c = self.compiled
-        return np.matmul(
-            c.u_avg[None, :, :], roster.w_avg[:, :, None]
-        )[..., 0]
-
-    def member_ranking_orders(self, roster: CompiledRoster) -> np.ndarray:
-        """(n_members, n_alt) alternative indices by decreasing utility.
-
-        Per member, ties break on the alternative name — the same
-        stable tie-break as :meth:`ranking_order` — via one lexsort
-        over the whole members axis.
-        """
-        avgs = self.member_average_utilities(roster)
-        names = np.broadcast_to(
-            np.array(self.compiled.alternative_names), avgs.shape
-        )
-        return np.lexsort((names, -avgs), axis=-1)
-
-    def member_rankings(
-        self, roster: CompiledRoster
-    ) -> Tuple[Tuple[str, ...], ...]:
-        """Per-member name rankings, roster order."""
-        names = self.compiled.alternative_names
-        return tuple(
-            tuple(names[i] for i in order)
-            for order in self.member_ranking_orders(roster)
-        )
-
-    def borda_order(self, roster: CompiledRoster) -> Tuple[str, ...]:
-        """Borda aggregation of the member rankings (ties by name).
-
-        Integer Borda points computed from the member rank tensor in
-        one reduction — identical to the scalar
-        :func:`repro.core.group.borda_ranking` over the per-member
-        rankings.
-        """
-        orders = self.member_ranking_orders(roster)
-        m, n = orders.shape
-        ranks = np.empty_like(orders)
-        rows = np.arange(m)[:, None]
-        ranks[rows, orders] = np.arange(1, n + 1)[None, :]
-        points = m * n - ranks.sum(axis=0)
-        names = np.array(self.compiled.alternative_names)
-        return tuple(names[i] for i in np.lexsort((names, -points)))
-
-    def group_evaluation(
-        self, roster: CompiledRoster, method: str = "intersection"
-    ):
-        """The aggregated group ranking as a Fig. 6 ``Evaluation``.
-
-        Evaluates the roster's aggregated (consensus or tolerant)
-        weight vectors through a reweighted view of the compiled
-        problem — bit-identical to compiling
-        ``problem.with_weights(aggregate_weights(members, method))``.
-        Raises ``ValueError`` for an intersection over disjoint member
-        intervals, exactly like the scalar path.
-        """
-        self._check_roster(roster)
-        w_low, w_avg, w_up = roster.aggregated_vectors(method)
-        return BatchEvaluator(
-            self.compiled.reweighted(w_low, w_avg, w_up)
-        ).evaluate()
-
-    def group_result(self, roster: CompiledRoster) -> GroupResult:
-        """The full group outcome for this problem in one array program.
-
-        Per-member rankings, Borda aggregation, the tolerant (hull)
-        ranking, the consensus (intersection) ranking — ``None`` with
-        the offending objectives listed in ``disjoint`` when member
-        intervals are irreconcilable — and the per-objective
-        disagreement profile.
-        """
-        disjoint = roster.disjoint_nodes
-        consensus: Optional[Tuple[str, ...]] = None
-        if not disjoint:
-            try:
-                consensus = self.group_evaluation(
-                    roster, "intersection"
-                ).names_by_rank
-            except ValueError:
-                # degenerate intersection (e.g. all-zero sibling
-                # weights): no consensus system exists
-                consensus = None
-        return GroupResult(
-            member_names=roster.member_names,
-            member_rankings=self.member_rankings(roster),
-            borda=self.borda_order(roster),
-            tolerant=self.group_evaluation(roster, "hull").names_by_rank,
-            consensus=consensus,
-            disjoint=disjoint,
-            disagreement=tuple(roster.disagreement().items()),
-        )
-
-    @property
-    def alternative_names(self) -> Tuple[str, ...]:
-        """Alternative names in performance-table order."""
-        return self.compiled.alternative_names
-
-    @property
-    def n_attributes(self) -> int:
-        """Leaf attributes of the underlying compiled problem."""
-        return self.compiled.n_attributes
-
-    @property
-    def n_alternatives(self) -> int:
-        """Alternatives of the underlying compiled problem."""
-        return self.compiled.n_alternatives
-
-
-# ----------------------------------------------------------------------
 # The stacked evaluator — many problems per array program
 # ----------------------------------------------------------------------
 
 class StackedEvaluator:
     """Array-program evaluation over a whole stack of problems.
 
-    Mirrors :class:`BatchEvaluator` with one extra leading
-    ``n_problems`` axis on every tensor: rankings, utility intervals,
-    dominance matrices and Monte Carlo sweeps evaluate the entire stack
-    at once.  All linear algebra runs through batched ``np.matmul`` (or
-    batched ``einsum`` exactly where the per-problem path uses einsum)
-    with per-slice operand shapes identical to the per-problem path, so
-    member ``p``'s outputs are bit-identical to
-    ``BatchEvaluator(stack.members[p])``.
+    The one implementation of every evaluation kernel: rankings,
+    utility intervals, weight-scenario sweeps, dominance matrices,
+    Monte Carlo sweeps and the group members axis evaluate the entire
+    stack at once, with one leading ``n_problems`` axis on every
+    tensor and no Python loop over scenarios or alternatives.  A single
+    problem is the ``P = 1`` view (:class:`BatchEvaluator`).  Every
+    per-slice operation has the shape a plain 2-D program over one
+    problem would use, so member ``p``'s outputs do not depend on
+    which other problems share the stack; ``repro.fuzz`` checks them
+    bit-for-bit against such a 2-D reference.
 
     Monte Carlo keeps one seeded RNG stream *per member* — the draws
-    loop over members (that is the contract that makes stacked output
-    equal per-problem output exactly) while utilities, corrections and
-    ranks evaluate stacked.
+    loop over members (that is the contract that makes a member's
+    output independent of its neighbours) while utilities, corrections
+    and ranks evaluate stacked.
     """
 
     def __init__(self, stacked: Union[StackedProblem, Sequence[CompiledProblem]]) -> None:
@@ -1593,15 +1270,24 @@ class StackedEvaluator:
     def ranking_orders(self) -> np.ndarray:
         """(P, n_alt) alternative indices by decreasing average utility.
 
-        Per problem, ties break on the alternative name — the same
-        stable tie-break as :meth:`BatchEvaluator.ranking_order` — via
-        one lexsort over the whole stack.
+        Per problem, ties break on the alternative name (the Fig. 6
+        ranking rule) via one lexsort over the whole stack.
         """
-        avgs = self.average_utilities()
-        names = np.array(
-            [m.alternative_names for m in self.stacked.members]
+        return self._order_by(self.average_utilities())
+
+    def _order_by(self, values: np.ndarray) -> np.ndarray:
+        """Indices by decreasing ``values`` along the last axis, ties by name.
+
+        ``values`` is ``(P, ..., n_alt)``; member ``p``'s alternative
+        names break ties, in one lexsort over the whole tensor.
+        """
+        names = np.array([m.alternative_names for m in self.stacked.members])
+        names = names.reshape(
+            names.shape[:1] + (1,) * (values.ndim - 2) + names.shape[1:]
         )
-        return np.lexsort((names, -avgs), axis=-1)
+        return np.lexsort(
+            (np.broadcast_to(names, values.shape), -values), axis=-1
+        )
 
     def evaluate_all(self) -> Tuple[object, ...]:
         """One Fig. 6 :class:`~repro.core.model.Evaluation` per member."""
@@ -1610,7 +1296,7 @@ class StackedEvaluator:
         mins = self.minimum_utilities()
         avgs = self.average_utilities()
         maxs = self.maximum_utilities()
-        orders = self.ranking_orders()
+        orders = self._order_by(avgs)
         evaluations = []
         for p, member in enumerate(self.stacked.members):
             rows = tuple(
@@ -1645,11 +1331,7 @@ class StackedEvaluator:
 
     def scenario_ranks(self, weights: np.ndarray) -> np.ndarray:
         """(P, n_scenarios, n_alt) 1-based ranks per weight scenario."""
-        utilities = self.utilities_for_weights(weights)
-        p, n_scen, n_alt = utilities.shape
-        return rank_matrix(utilities.reshape(p * n_scen, n_alt)).reshape(
-            p, n_scen, n_alt
-        )
+        return rank_matrix(self.utilities_for_weights(weights))
 
     # -- §V: Monte Carlo over the whole stack --------------------------
     def _member_rngs(
@@ -1673,9 +1355,7 @@ class StackedEvaluator:
         method: str = "intervals",
         n_simulations: int = 10_000,
         seed: Union[None, int, Sequence[Optional[int]]] = None,
-        order_groups: Optional[Sequence[Sequence[int]]] = None,
         sample_utilities: Union[bool, str] = False,
-        reject_outside: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One §V simulation class for every member at once.
 
@@ -1684,31 +1364,34 @@ class StackedEvaluator:
         single seed applied to every member's own fresh RNG stream, or
         a per-member sequence; member ``p``'s rank slice equals
         ``BatchEvaluator(members[p]).monte_carlo_ranks(seed=seed_p)``
-        exactly.
+        exactly.  ``sample_utilities``: ``False`` keeps component
+        utilities at their class averages; ``"missing"`` draws each
+        unknown cell's utility uniformly in [0, 1] (the ref.-[18]
+        model); ``True``/``"all"`` samples every component utility
+        inside its class envelope.
         """
         if n_simulations < 1:
             raise ValueError("n_simulations must be positive")
         s = self.stacked
         rngs = self._member_rngs(seed)
 
-        # Per-member draws (the RNG streams), stacked evaluation below.
-        weights = np.empty((s.n_problems, n_simulations, s.n_attributes))
-        acceptance = np.ones(s.n_problems)
-        for p, member in enumerate(s.members):
-            w_p, acc = BatchEvaluator(member).sample_weights(
-                method, n_simulations, rngs[p], order_groups, reject_outside
-            )
-            weights[p] = w_p
-            acceptance[p] = acc
+        # Per-member draws (the RNG streams), stacked evaluation below;
+        # the per-problem view keeps its one draw as a [None] view.
+        if s.n_problems == 1:
+            w, a = sample_weights(s.members[0], method, n_simulations, rngs[0])
+            weights, acceptance = w[None], np.array([a], dtype=float)
+        else:
+            weights = np.empty((s.n_problems, n_simulations, s.n_attributes))
+            acceptance = np.ones(s.n_problems)
+            for p, member in enumerate(s.members):
+                weights[p], acceptance[p] = sample_weights(
+                    member, method, n_simulations, rngs[p]
+                )
 
         utilities = self._monte_carlo_utilities(
             weights, rngs, sample_utilities
         )
-        n_alt = s.n_alternatives
-        ranks = rank_matrix(
-            utilities.reshape(s.n_problems * n_simulations, n_alt)
-        ).reshape(s.n_problems, n_simulations, n_alt)
-        return ranks, acceptance
+        return rank_matrix(utilities), acceptance
 
     def _monte_carlo_utilities(
         self,
@@ -1717,21 +1400,18 @@ class StackedEvaluator:
         sample_utilities: Union[bool, str],
     ) -> np.ndarray:
         """(P, S, n_alt) overall utilities for stacked weight scenarios."""
-        s = self.stacked
-        n_sims = weights.shape[1]
         if sample_utilities in (True, "all"):
-            u = self._sampled_utility_tensor(n_sims, rngs)
+            u = self._sampled_utility_tensor(weights.shape[1], rngs)
             return np.einsum("psaj,psj->psa", u, weights)
-        if sample_utilities == "missing":
-            utilities = np.matmul(weights, s.u_avg.transpose(0, 2, 1))
-            self._apply_missing_corrections(utilities, weights, rngs)
-            return utilities
-        if sample_utilities is not False:
+        if sample_utilities is not False and sample_utilities != "missing":
             raise ValueError(
                 f"sample_utilities must be False, True, 'all' or 'missing', "
                 f"got {sample_utilities!r}"
             )
-        return np.matmul(weights, s.u_avg.transpose(0, 2, 1))
+        utilities = np.matmul(weights, self.stacked.u_avg.transpose(0, 2, 1))
+        if sample_utilities == "missing":
+            self._apply_missing_corrections(utilities, weights, rngs)
+        return utilities
 
     def _apply_missing_corrections(
         self,
@@ -1739,57 +1419,37 @@ class StackedEvaluator:
         weights: np.ndarray,
         rngs: Sequence[np.random.Generator],
     ) -> None:
-        """The ref.-[18] missing-cell draws as one padded scatter-add.
+        """The ref.-[18] missing-cell draws, added in place.
 
-        Each member's uniform draws come from its own RNG stream (bit
-        compatibility with the per-problem path); the correction itself
-        is a single unbuffered ``np.add.at`` over the whole stack,
-        iterating cells in the same per-problem row-major order so
-        repeated target rows accumulate identically.
+        A member with missing cells draws one uniform ``(S, n_cells)``
+        block from its own RNG stream (cells in row-major order) and
+        adds ``w_j * (draw - u_avg)`` per cell with an unbuffered
+        ``np.add.at``, so corrections to one alternative accumulate in
+        cell order.  A member without missing cells draws nothing.
         """
-        s = self.stacked
         n_sims = weights.shape[1]
-        cell_lists = [np.argwhere(m.missing) for m in s.members]
-        max_cells = max((len(c) for c in cell_lists), default=0)
-        if max_cells == 0:
-            # Still no RNG to consume: the per-problem path draws only
-            # when the member has missing cells.
-            return
-        p = s.n_problems
-        rows = np.zeros((p, max_cells), dtype=np.intp)
-        cols = np.zeros((p, max_cells), dtype=np.intp)
-        delta = np.zeros((p, n_sims, max_cells))
-        for k, cells in enumerate(cell_lists):
-            if not len(cells):
+        for k, member in enumerate(self.stacked.members):
+            rows, cols = np.nonzero(member.missing)
+            if not len(rows):
                 continue
-            r, c = cells[:, 0], cells[:, 1]
-            draws = rngs[k].uniform(0.0, 1.0, size=(n_sims, len(cells)))
-            rows[k, : len(cells)] = r
-            cols[k, : len(cells)] = c
-            delta[k, :, : len(cells)] = draws - s.u_avg[k, r, c][None, :]
-        vals = (
-            np.take_along_axis(
-                weights, np.broadcast_to(cols[:, None, :], delta.shape), axis=2
+            draws = rngs[k].uniform(0.0, 1.0, size=(n_sims, len(rows)))
+            delta = draws - member.u_avg[rows, cols][None, :]
+            np.add.at(
+                utilities[k], (slice(None), rows), weights[k][:, cols] * delta
             )
-            * delta
-        )
-        p_idx = np.broadcast_to(
-            np.arange(p)[:, None, None], delta.shape
-        )
-        s_idx = np.broadcast_to(
-            np.arange(n_sims)[None, :, None], delta.shape
-        )
-        r_idx = np.broadcast_to(rows[:, None, :], delta.shape)
-        np.add.at(utilities, (p_idx, s_idx, r_idx), vals)
 
     def _sampled_utility_tensor(
         self, n_simulations: int, rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:
         """Full utility sampling for the stack: (P, S, n_alt, n_att).
 
-        Draws per member over the member's *own* padded key tensor (so
-        the RNG stream matches the per-problem path draw for draw),
-        then monotonises and gathers the whole stack at once.
+        Per attribute, one draw per utility class shared by every
+        alternative on the same level — the coupling that makes a draw
+        a utility *function* — then made monotone along the preference
+        order with a cumulative max.  Draws per member over the
+        member's *own* padded key tensor (so a member's RNG stream does
+        not depend on the stack-wide padding), then monotonises and
+        gathers the whole stack at once.
         """
         s = self.stacked
         max_keys = s.key_low.shape[2]
@@ -1860,9 +1520,6 @@ class StackedEvaluator:
                 f"but the stack has {s.n_attributes}"
             )
 
-    def _stack_names(self) -> np.ndarray:
-        return np.array([m.alternative_names for m in self.stacked.members])
-
     def group_member_utilities(self, roster: StackedRoster) -> np.ndarray:
         """(P, n_members, n_alt) per-member average overall utilities.
 
@@ -1876,78 +1533,59 @@ class StackedEvaluator:
             s.u_avg[:, None, :, :], roster.w_avg[:, :, :, None]
         )[..., 0]
 
-    def group_member_orders(self, roster: StackedRoster) -> np.ndarray:
-        """(P, M, n_alt) ranking orders, name tie-break, one lexsort."""
-        avgs = self.group_member_utilities(roster)
-        names = np.broadcast_to(self._stack_names()[:, None, :], avgs.shape)
-        return np.lexsort((names, -avgs), axis=-1)
-
     def group_results(self, roster: StackedRoster) -> Tuple[GroupResult, ...]:
         """One :class:`GroupResult` per stack member, evaluated stacked.
 
         Member utilities, ranking orders and Borda points run over the
         full ``(P, M, n_alt)`` tensors; the aggregated (consensus /
-        tolerant) weight vectors are gathered per roster and evaluated
-        as stacked matrix-vector products.  Member ``p``'s result is
-        identical to ``BatchEvaluator(members[p]).group_result(...)``.
+        tolerant) rankings rank a stack of reweighted members, exactly
+        as :meth:`BatchEvaluator.group_evaluation` does.  ``consensus``
+        is ``None``, with the offending objectives listed in
+        ``disjoint``, when the member intervals are irreconcilable.
         """
         self._check_stacked_roster(roster)
         s = self.stacked
-        p, m, n = s.n_problems, roster.n_members, s.n_alternatives
-        orders = self.group_member_orders(roster)
-        names_arr = self._stack_names()
+        m, n = roster.n_members, s.n_alternatives
+        orders = self._order_by(self.group_member_utilities(roster))
 
-        # Borda: scatter orders back to 1-based ranks, reduce members.
-        ranks = np.empty_like(orders)
-        p_idx = np.arange(p)[:, None, None]
-        m_idx = np.arange(m)[None, :, None]
-        ranks[p_idx, m_idx, orders] = np.arange(1, n + 1)[None, None, :]
+        # Borda: 1-based ranks (the inverse permutations of the
+        # orders), reduced over the members axis.
+        ranks = orders.argsort(axis=-1) + 1
         points = m * n - ranks.sum(axis=1)
-        borda_orders = np.lexsort((names_arr, -points), axis=-1)
+        borda_orders = self._order_by(points)
 
-        # Aggregated weight vectors per problem (tiny, object-graph
-        # level); the evaluation itself stays stacked.
-        tol_w = np.stack(
-            [r.aggregated_vectors("hull")[1] for r in roster.rosters]
+        # Aggregated rankings: every member reweighted by its roster's
+        # aggregated vectors and ranked as one stack, the path
+        # BatchEvaluator.group_evaluation takes for a single problem.
+        def aggregated_orders(method):
+            views, ok = [], []
+            for c, r in zip(s.members, roster.rosters):
+                try:
+                    views.append(c.reweighted(*r.aggregated_vectors(method)))
+                    ok.append(True)
+                except ValueError:  # irreconcilable intervals: no consensus
+                    views.append(c)
+                    ok.append(False)
+            return StackedEvaluator(views).ranking_orders(), ok
+
+        tol_orders, _ = aggregated_orders("hull")
+        cons_orders, cons_ok = aggregated_orders("intersection")
+
+        def named(k, order):
+            return tuple(s.members[k].alternative_names[i] for i in order)
+
+        return tuple(
+            GroupResult(
+                member_names=r.member_names,
+                member_rankings=tuple(named(k, o) for o in orders[k]),
+                borda=named(k, borda_orders[k]),
+                tolerant=named(k, tol_orders[k]),
+                consensus=named(k, cons_orders[k]) if cons_ok[k] else None,
+                disjoint=r.disjoint_nodes,
+                disagreement=tuple(r.disagreement().items()),
+            )
+            for k, r in enumerate(roster.rosters)
         )
-        cons_w = np.zeros((p, s.n_attributes))
-        cons_ok = np.zeros(p, dtype=bool)
-        for k, r in enumerate(roster.rosters):
-            if r.disjoint_nodes:
-                continue
-            try:
-                cons_w[k] = r.aggregated_vectors("intersection")[1]
-            except ValueError:
-                continue
-            cons_ok[k] = True
-        tol_avgs = np.matmul(s.u_avg, tol_w[:, :, None])[..., 0]
-        cons_avgs = np.matmul(s.u_avg, cons_w[:, :, None])[..., 0]
-        tol_orders = np.lexsort((names_arr, -tol_avgs), axis=-1)
-        cons_orders = np.lexsort((names_arr, -cons_avgs), axis=-1)
-
-        results = []
-        for k, r in enumerate(roster.rosters):
-            names = self.stacked.members[k].alternative_names
-            consensus = (
-                tuple(names[i] for i in cons_orders[k])
-                if cons_ok[k]
-                else None
-            )
-            results.append(
-                GroupResult(
-                    member_names=r.member_names,
-                    member_rankings=tuple(
-                        tuple(names[i] for i in order)
-                        for order in orders[k]
-                    ),
-                    borda=tuple(names[i] for i in borda_orders[k]),
-                    tolerant=tuple(names[i] for i in tol_orders[k]),
-                    consensus=consensus,
-                    disjoint=r.disjoint_nodes,
-                    disagreement=tuple(r.disagreement().items()),
-                )
-            )
-        return tuple(results)
 
     # ------------------------------------------------------------------
     @property
@@ -1964,3 +1602,140 @@ class StackedEvaluator:
     def n_attributes(self) -> int:
         """Leaf attributes per member of the underlying stack."""
         return self.stacked.n_attributes
+
+
+# ----------------------------------------------------------------------
+# The per-problem view
+# ----------------------------------------------------------------------
+
+class BatchEvaluator:
+    """One compiled problem as the ``P = 1`` view of :class:`StackedEvaluator`.
+
+    Answers every per-problem question of the paper's workflow — the
+    Fig. 6 ranking, weight-scenario sweeps, dominance/rank-interval
+    screening, the §V Monte Carlo and the group members axis — by
+    running the stacked kernels on a one-member stack and returning
+    slice ``[0]``.  It holds no array program of its own, so a single
+    problem and a registry stack share one implementation.
+    """
+
+    def __init__(
+        self, source: Union[DecisionProblem, CompiledProblem, object]
+    ) -> None:
+        """Wrap ``source`` (problem, compiled form or AdditiveModel)."""
+        self.compiled = _as_compiled(source)
+
+    @cached_property
+    def stack(self) -> "StackedEvaluator":
+        """The one-member stack every method delegates to (built lazily)."""
+        return StackedEvaluator([self.compiled])
+
+    # -- §IV: overall-utility intervals and the Fig. 6 ranking ---------
+    def minimum_utilities(self) -> np.ndarray:
+        """(n_alternatives,) lower overall utilities (table order)."""
+        return self.stack.minimum_utilities()[0]
+
+    def average_utilities(self) -> np.ndarray:
+        """(n_alternatives,) average overall utilities (table order)."""
+        return self.stack.average_utilities()[0]
+
+    def maximum_utilities(self) -> np.ndarray:
+        """(n_alternatives,) upper overall utilities (table order)."""
+        return self.stack.maximum_utilities()[0]
+
+    def evaluate(self):
+        """The Fig. 6 ranking as a :class:`repro.core.model.Evaluation`.
+
+        Ties break on the alternative name (the Fig. 6 ranking rule).
+        """
+        return self.stack.evaluate_all()[0]
+
+    # -- weight-scenario sweeps ----------------------------------------
+    def utilities_for_weights(self, weights: np.ndarray) -> np.ndarray:
+        """Overall utilities under explicit weight scenarios.
+
+        ``weights`` is one vector ``(n_attributes,)`` or a scenario
+        matrix ``(n_scenarios, n_attributes)``; any other shape raises
+        ``ValueError``.  Component utilities sit at their class
+        averages, as in §V.  Returns ``(n_alternatives,)`` or
+        ``(n_alternatives, n_scenarios)`` to match the historical
+        ``AdditiveModel.utilities_for_weights`` contract.
+        """
+        w = np.asarray(weights, dtype=float)
+        n = self.compiled.n_attributes
+        if w.ndim not in (1, 2) or w.shape[-1] != n:
+            raise ValueError(
+                f"expected weights of shape ({n},) or (n_scenarios, {n}), "
+                f"got {w.shape}"
+            )
+        utilities = self.stack.utilities_for_weights(w.reshape(1, -1, n))[0]
+        return utilities[0] if w.ndim == 1 else utilities.T
+
+    # -- §V: Monte Carlo -----------------------------------------------
+    def monte_carlo_ranks(
+        self,
+        method: str = "intervals",
+        n_simulations: int = 10_000,
+        seed: Optional[int] = None,
+        sample_utilities: Union[bool, str] = False,
+    ) -> Tuple[np.ndarray, float]:
+        """One §V simulation class as raw arrays: (ranks, acceptance)."""
+        ranks, acceptance = self.stack.monte_carlo_ranks(
+            method, n_simulations, [seed], sample_utilities
+        )
+        return ranks[0], float(acceptance[0])
+
+    def simulate(self, seed: Optional[int] = None, **kwargs):
+        """Full §V Monte Carlo as a
+        :class:`repro.core.montecarlo.MonteCarloResult`."""
+        return self.stack.simulate_all(seed=[seed], **kwargs)[0]
+
+    # -- §V: screening --------------------------------------------------
+    def dominance_matrix(self) -> np.ndarray:
+        """(n_alt, n_alt) boolean strict-dominance matrix (§V screen)."""
+        with _stage("eval.dominance", n_alternatives=self.n_alternatives):
+            return self.stack.dominance_matrices()[0]
+
+    def rank_intervals(self):
+        """Best/worst attainable rank per alternative, from dominance."""
+        from .rankintervals import rank_intervals as _rank_intervals
+
+        matrix = self.dominance_matrix()
+        with _stage("eval.rankintervals", n_alternatives=self.n_alternatives):
+            return _rank_intervals(self, matrix=matrix)
+
+    # -- group decision support (the members axis) ----------------------
+    def group_evaluation(
+        self, roster: CompiledRoster, method: str = "intersection"
+    ):
+        """The aggregated group ranking as a Fig. 6 ``Evaluation``.
+
+        Evaluates the roster's aggregated (consensus or tolerant)
+        weight vectors through a reweighted view of the compiled
+        problem — bit-identical to compiling
+        ``problem.with_weights(aggregate_weights(members, method))``.
+        Raises ``ValueError`` for an intersection over disjoint member
+        intervals, exactly like the scalar path.
+        """
+        view = self.compiled.reweighted(*roster.aggregated_vectors(method))
+        return BatchEvaluator(view).evaluate()
+
+    def group_result(self, roster: CompiledRoster) -> GroupResult:
+        """The full group outcome for this problem (see
+        :meth:`StackedEvaluator.group_results`)."""
+        return self.stack.group_results(StackedRoster([roster]))[0]
+
+    @property
+    def alternative_names(self) -> Tuple[str, ...]:
+        """Alternative names in performance-table order."""
+        return self.compiled.alternative_names
+
+    @property
+    def n_attributes(self) -> int:
+        """Leaf attributes of the underlying compiled problem."""
+        return self.compiled.n_attributes
+
+    @property
+    def n_alternatives(self) -> int:
+        """Alternatives of the underlying compiled problem."""
+        return self.compiled.n_alternatives

@@ -13,7 +13,8 @@ This module is the object-level API.  The numeric work — per-member
 rankings, the aggregated group rankings, Borda points and the
 disagreement profile — runs through the vectorized members axis of
 :mod:`repro.core.engine` (:func:`~repro.core.engine.compile_roster`
-plus the ``BatchEvaluator`` group methods), one array program instead
+plus ``BatchEvaluator.group_result``/``group_evaluation``, the
+one-problem view of ``StackedEvaluator``), one array program instead
 of a Python loop over decision makers, with bit-identical outputs.
 
 It also defines the portable *roster spec*: a hashable, JSON-stable
@@ -166,12 +167,11 @@ class GroupDecision:
             position = self._roster.member_names.index(name)
         except ValueError:
             raise KeyError(f"no group member named {name!r}") from None
-        return self._evaluator.member_rankings(self._roster)[position]
+        return self.result().member_rankings[position]
 
     def member_rankings(self) -> Dict[str, Tuple[str, ...]]:
         """Every member's ranking, roster order, from one array program."""
-        rankings = self._evaluator.member_rankings(self._roster)
-        return dict(zip(self._roster.member_names, rankings))
+        return dict(zip(self._roster.member_names, self.result().member_rankings))
 
     def group_problem(self, method: str = "intersection") -> DecisionProblem:
         """The problem under the aggregated (group) weight system."""
@@ -185,7 +185,7 @@ class GroupDecision:
 
     def borda(self) -> Tuple[str, ...]:
         """Borda aggregation of the member rankings."""
-        return self._evaluator.borda_order(self._roster)
+        return self.result().borda
 
     def disagreement(self) -> Dict[str, float]:
         """The per-objective disagreement profile."""

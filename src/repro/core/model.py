@@ -120,7 +120,7 @@ class AdditiveModel:
     The arrays are lowered once by :func:`repro.core.engine.compile_problem`
     and shared with the batch engine; every evaluation method delegates
     to a :class:`repro.core.engine.BatchEvaluator` over that compiled
-    form.
+    form (the ``P = 1`` view of the stacked kernel).
     """
 
     def __init__(

@@ -12,8 +12,9 @@ Three classes of simulation are supported, exactly as §V lists them:
 
 * ``random`` — attribute weights completely at random (uniform on the
   weight simplex; no knowledge of relative importance),
-* ``rank_order`` — random weights preserving a total or partial
-  attribute rank order (the order of the elicited averages by default),
+* ``rank_order`` — random weights preserving the total attribute rank
+  order of the elicited averages (:func:`sample_rank_order` also takes
+  a partial order),
 * ``intervals`` — weights drawn inside the elicited Fig. 5 intervals,
   renormalised onto the simplex.
 
@@ -225,17 +226,13 @@ def simulate(
     method: str = "intervals",
     n_simulations: int = 10_000,
     seed: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-    order_groups: Optional[Sequence[Sequence[int]]] = None,
     sample_utilities: Union[bool, str] = False,
-    reject_outside: bool = False,
 ) -> MonteCarloResult:
     """Run one of §V's three Monte Carlo simulation classes.
 
-    ``method`` is ``"random"``, ``"rank_order"`` or ``"intervals"``.
-    ``order_groups`` (rank_order only) lists attribute-index groups from
-    most to least important; by default each attribute forms its own
-    group, ordered by the elicited average weights — a total order.
+    ``method`` is ``"random"``, ``"rank_order"`` (the total order of the
+    elicited average weights) or ``"intervals"``; ``seed`` seeds a
+    fresh ``numpy.random.default_rng`` stream.
     ``sample_utilities``: ``False`` keeps component utilities at their
     class averages; ``"missing"`` draws each unknown performance's
     utility uniformly in [0, 1] per simulation (the ref.-[18] model);
@@ -243,7 +240,8 @@ def simulate(
     inside its class envelope (shared per level across alternatives).
 
     The whole run is a single array program over the problem's
-    compiled form (:mod:`repro.core.engine`): weight scenarios,
+    compiled form, run by the engine's one-member stack
+    (:class:`repro.core.engine.BatchEvaluator`): weight scenarios,
     component-utility draws, overall utilities and ranks are tensors of
     leading dimension ``n_simulations`` — there is no Python loop over
     simulations or alternatives.
@@ -252,16 +250,9 @@ def simulate(
         compiled = compile_problem(problem_or_model)
     else:
         compiled = problem_or_model  # AdditiveModel or CompiledProblem
-    evaluator = BatchEvaluator(compiled)
-    ranks, acceptance = evaluator.monte_carlo_ranks(
+    return BatchEvaluator(compiled).simulate(
         method=method,
         n_simulations=n_simulations,
         seed=seed,
-        rng=rng,
-        order_groups=order_groups,
         sample_utilities=sample_utilities,
-        reject_outside=reject_outside,
-    )
-    return MonteCarloResult(
-        evaluator.alternative_names, ranks, method, acceptance
     )

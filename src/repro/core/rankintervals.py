@@ -62,11 +62,11 @@ def rank_intervals(
 
     ``model`` is anything carrying ``alternative_names`` and the
     compiled envelopes — an :class:`~repro.core.model.AdditiveModel`, a
-    :class:`~repro.core.engine.BatchEvaluator` or a
-    :class:`~repro.core.engine.CompiledProblem`; the dominance matrix
-    comes from the engine's closed-form screen.  ``matrix`` may pass a
-    precomputed dominance matrix (``D[i, j]`` true iff alternative
-    ``i`` dominates ``j``) to avoid recomputing it.
+    :class:`~repro.core.engine.BatchEvaluator` (the engine's one-problem
+    view) or a :class:`~repro.core.engine.CompiledProblem`; the
+    dominance matrix comes from the engine's closed-form screen.
+    ``matrix`` may pass a precomputed dominance matrix (``D[i, j]`` true
+    iff alternative ``i`` dominates ``j``) to avoid recomputing it.
     """
     if matrix is None:
         matrix = dominance_matrix(model)

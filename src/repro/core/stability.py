@@ -126,7 +126,8 @@ def batch_affine_coefficients(
     ``(n_objectives, n_attributes)``; the per-alternative math — the
     part that scales with the problem — is two tensor ops through the
     model's :class:`~repro.core.engine.BatchEvaluator`
-    (``utilities_for_weights``), not a Python loop per objective.
+    (``utilities_for_weights``, which runs the stacked kernel on the
+    ``P = 1`` view), not a Python loop per objective.
     Equivalent to calling :func:`affine_coefficients` per objective
     (pinned by tests) up to summation order.
     """

@@ -1,31 +1,33 @@
-"""Differential fuzzing — tensor paths versus the scalar reference.
+"""Differential fuzzing — tensor paths versus an independent reference.
 
 Every generated problem (see :mod:`repro.core.genreg`) is driven
 through the stacked, delta, group and Monte-Carlo tensor paths, and
-each output is asserted **bit-identical** to the per-problem scalar
-reference computed through :class:`~repro.core.engine.BatchEvaluator`
-and full recompilation.  The oracles:
+each output is asserted **bit-identical** to a per-problem reference:
+the plain 2-D NumPy programs :func:`reference_readings` and
+:func:`reference_monte_carlo` (which share only the weight samplers
+and :func:`~repro.core.engine.rank_matrix` with the engine), full
+recompilation, and per-pair HiGHS LPs.  The oracles:
 
 ``roundtrip``
     Workspace JSON encode → decode preserves the content hash and
     every compiled array bit-for-bit.
 ``stacked-eval``
     :class:`~repro.core.engine.StackedEvaluator` min/avg/max utilities
-    and ranking orders equal every member's scalar run.
+    and ranking orders equal :func:`reference_readings` per member.
 ``stacked-mc``
     Stacked Monte Carlo ranks (all three §V weight classes × all three
     utility-sampling modes, cycled per chunk) equal per-problem seeded
-    runs.
+    runs of :func:`reference_monte_carlo`.
 ``delta``
     :func:`~repro.core.engine.delta_compile` after a deterministic
     cell/weight mutation equals a from-scratch compile on every array
     field.
 ``group``
-    The members-axis :meth:`~repro.core.engine.BatchEvaluator.group_result`
-    equals a scalar loop that *recompiles* ``problem.with_weights(member)``
-    per member, and the stacked
-    :meth:`~repro.core.engine.StackedEvaluator.group_results` equals the
-    per-problem results.
+    Every field of the stacked
+    :meth:`~repro.core.engine.StackedEvaluator.group_results` equals
+    :func:`reference_group_result` (member, Borda, tolerant and
+    consensus rankings from problems *recompiled* per weight system),
+    and each member's result equals its one-member (``P = 1``) result.
 ``dominance``
     The closed-form stacked dominance tensors equal a per-pair HiGHS
     :func:`~repro.core.dominance.dominates` oracle on every case, and
@@ -52,16 +54,19 @@ import numpy as np
 from .core import genreg, workspace
 from .core.engine import (
     BatchEvaluator,
+    GroupResult,
     StackedEvaluator,
     StackedRoster,
     compile_problem,
     compile_roster,
     delta_compile,
+    rank_matrix,
+    sample_weights,
     stack_problems,
 )
 from .core.dominance import dominates
 from .core.genreg import RegistrySpec
-from .core.group import members_from_spec
+from .core.group import aggregate_weights, borda_ranking, members_from_spec
 from .core.performance import Alternative, PerformanceTable
 from .core.problem import DecisionProblem
 from .core.rankintervals import rank_intervals
@@ -76,6 +81,9 @@ __all__ = [
     "run_fuzz",
     "check_chunk",
     "dominance_oracle",
+    "reference_readings",
+    "reference_monte_carlo",
+    "reference_group_result",
     "shrink_spec",
     "write_repro",
     "replay",
@@ -241,6 +249,99 @@ def dominance_oracle(model) -> np.ndarray:
     )
 
 
+def reference_readings(compiled) -> Dict[str, np.ndarray]:
+    """The §IV readings of one problem as plain 2-D NumPy.
+
+    ``min``/``avg``/``max`` overall utilities (one matrix-vector product
+    each) and the Fig. 6 ``order``: alternative indices by decreasing
+    average utility, ties broken on the alternative name.  The
+    independent reference for the stacked evaluation kernel.
+    """
+    c = compiled
+    avg = c.u_avg @ c.w_avg
+    return {
+        "min": c.u_low @ c.w_low,
+        "avg": avg,
+        "max": c.u_up @ c.w_up,
+        "order": np.lexsort((np.array(c.alternative_names), -avg)),
+    }
+
+
+def reference_monte_carlo(
+    compiled,
+    method: str,
+    n_simulations: int,
+    seed: int,
+    sample_utilities: object = False,
+) -> Tuple[np.ndarray, float]:
+    """``(ranks, acceptance)`` of one §V simulation class as plain 2-D NumPy.
+
+    Draws from one ``default_rng(seed)`` stream in the engine's order:
+    the weights (:func:`~repro.core.engine.sample_weights`), then the
+    utilities — ``"missing"``: one uniform ``(S, n_cells)`` draw over
+    the missing cells in row-major order, applied as per-cell
+    corrections; ``True``/``"all"``: one uniform draw per utility
+    class, monotonised along the preference order and shared by every
+    alternative on that level.  The independent reference for the
+    stacked Monte Carlo kernel.
+    """
+    c = compiled
+    rng = np.random.default_rng(seed)
+    weights, acceptance = sample_weights(c, method, n_simulations, rng)
+    if sample_utilities in (True, "all"):
+        draws = rng.uniform(
+            c.key_low[None],
+            c.key_up[None],
+            size=(n_simulations, c.n_attributes, c.key_low.shape[1]),
+        )
+        draws = np.maximum.accumulate(draws, axis=2)
+        # u[s, i, j] = draws[s, j, alt_key[j, i]]
+        u = draws[:, np.arange(c.n_attributes)[None, :], c.alt_key.T]
+        utilities = np.einsum("saj,sj->sa", u, weights)
+    else:
+        utilities = weights @ c.u_avg.T
+        if sample_utilities == "missing" and c.missing.any():
+            rows, cols = np.nonzero(c.missing)
+            draws = rng.uniform(0.0, 1.0, size=(n_simulations, len(rows)))
+            delta = draws - c.u_avg[rows, cols][None, :]
+            # Unbuffered, so corrections to one row add up in cell order.
+            np.add.at(utilities, (slice(None), rows), weights[:, cols] * delta)
+    return rank_matrix(utilities), acceptance
+
+
+def reference_group_result(problem, members) -> GroupResult:
+    """The group outcome of one problem, rebuilt by recompiling.
+
+    Every ranking is the :func:`reference_readings` order of
+    ``problem.with_weights(...)`` under one member's weights or an
+    aggregated system (``hull`` → tolerant, ``intersection`` →
+    consensus, ``None`` when it is infeasible), and Borda is the
+    dict-count :func:`~repro.core.group.borda_ranking`.  The
+    independent reference for the stacked group kernel.
+    """
+
+    def ranking(weights):
+        c = compile_problem(problem.with_weights(weights))
+        order = reference_readings(c)["order"]
+        return tuple(c.alternative_names[k] for k in order)
+
+    rankings = tuple(ranking(m.weights) for m in members)
+    try:
+        consensus = ranking(aggregate_weights(members, "intersection"))
+    except ValueError:
+        consensus = None
+    roster = compile_roster(members, problem.hierarchy)
+    return GroupResult(
+        member_names=tuple(m.name for m in members),
+        member_rankings=rankings,
+        borda=borda_ranking(rankings),
+        tolerant=ranking(aggregate_weights(members, "hull")),
+        consensus=consensus,
+        disjoint=roster.disjoint_nodes,
+        disagreement=tuple(roster.disagreement().items()),
+    )
+
+
 def check_chunk(
     spec: RegistrySpec,
     indices: Sequence[int],
@@ -282,26 +383,14 @@ def check_chunk(
             )
         compiled.append(c)
 
-    # -- scalar references ---------------------------------------------
+    # -- references ----------------------------------------------------
     refs = []
     for i, c in zip(indices, compiled):
-        ev = BatchEvaluator(c)
-        ranks, acceptance = ev.monte_carlo_ranks(
-            method=method,
-            n_simulations=simulations,
-            seed=_mc_seed(spec, i),
-            sample_utilities=mode,
+        ref = reference_readings(c)
+        ref["mc"], ref["acc"] = reference_monte_carlo(
+            c, method, simulations, _mc_seed(spec, i), mode
         )
-        refs.append(
-            {
-                "min": ev.minimum_utilities(),
-                "avg": ev.average_utilities(),
-                "max": ev.maximum_utilities(),
-                "order": ev.ranking_order(),
-                "mc": ranks,
-                "acc": acceptance,
-            }
-        )
+        refs.append(ref)
 
     # -- stacked oracles -----------------------------------------------
     for stack in stack_problems(compiled):
@@ -331,7 +420,7 @@ def check_chunk(
                         Divergence(
                             "stacked-eval",
                             i,
-                            f"{label} diverge from the scalar reference",
+                            f"{label} diverge from the reference",
                         )
                     )
             if not np.array_equal(mc[pos], ref["mc"]) or acc[pos] != ref["acc"]:
@@ -388,28 +477,12 @@ def check_chunk(
             )
 
     # -- group oracle ---------------------------------------------------
-    rosters = []
-    for i, problem, c in zip(indices, problems, compiled):
-        checks += 1
+    rosters, expected = [], []
+    for i, problem in zip(indices, problems):
         mspec = _member_spec(spec, i, problem, members)
         roster_members = members_from_spec(mspec, problem.hierarchy)
-        roster = compile_roster(roster_members, problem.hierarchy)
-        rosters.append(roster)
-        result = BatchEvaluator(c).group_result(roster)
-        scalar_rankings = tuple(
-            BatchEvaluator(
-                compile_problem(problem.with_weights(member.weights))
-            ).evaluate().names_by_rank
-            for member in roster_members
-        )
-        if result.member_rankings != scalar_rankings:
-            out.append(
-                Divergence(
-                    "group",
-                    i,
-                    "members-axis rankings diverge from per-member recompiles",
-                )
-            )
+        rosters.append(compile_roster(roster_members, problem.hierarchy))
+        expected.append(reference_group_result(problem, roster_members))
 
     for stack in stack_problems(compiled):
         stacked_roster = StackedRoster(
@@ -417,19 +490,15 @@ def check_chunk(
         )
         results = StackedEvaluator(stack).group_results(stacked_roster)
         for pos, src in enumerate(stack.source_indices):
-            checks += 1
-            i = indices[src]
-            single = BatchEvaluator(stack.members[pos]).group_result(
-                rosters[src]
-            )
-            if results[pos] != single:
-                out.append(
-                    Divergence(
-                        "group",
-                        i,
-                        "stacked group result diverges from per-problem result",
-                    )
-                )
+            single = BatchEvaluator(stack.members[pos]).group_result(rosters[src])
+            for want, label in (
+                (expected[src], "the recompiling reference"),
+                (single, "the one-member stack"),
+            ):
+                checks += 1
+                if results[pos] != want:
+                    detail = f"stacked group result diverges from {label}"
+                    out.append(Divergence("group", indices[src], detail))
 
     return out, checks
 
@@ -627,7 +696,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="fuzz",
         description="Differentially fuzz the tensor engine against the "
-        "scalar reference.",
+        "independent reference.",
     )
     parser.add_argument("--cases", type=int, default=300)
     parser.add_argument("--seed", type=int, default=0)

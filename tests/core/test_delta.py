@@ -116,6 +116,24 @@ class TestStackedPatch:
                 getattr(stack, field), getattr(rebuilt, field)
             ), field
 
+    def test_one_member_stack_shares_arrays_and_patches_safely(self):
+        problem = make_small_problem(missing_cell=True)
+        original = compile_problem(problem)
+        before = compile_problem(problem)
+        stack = StackedProblem([original])
+        assert np.shares_memory(stack.u_avg, original.u_avg)
+        replacement = compile_problem(change_cell(problem))
+        stack.patch_member(0, replacement)
+        rebuilt = StackedProblem([replacement])
+        for field in _ARRAY_FIELDS:
+            assert np.array_equal(
+                getattr(stack, field), getattr(rebuilt, field)
+            ), field
+            # The patch rebinds the views; the old member is untouched.
+            assert np.array_equal(
+                getattr(original, field), getattr(before, field)
+            ), field
+
     def test_subset_preserves_source_indices(self):
         compiled = [
             compile_problem(make_small_problem(name=f"ws-{i}"))

@@ -1,10 +1,16 @@
-"""Equivalence tests for the vectorized batch evaluation engine.
+"""Equivalence tests for the vectorized evaluation engine.
 
 The engine must be a pure speedup: every number it produces — Fig. 6
 rankings, weight-scenario utilities, Monte Carlo ranks, dominance
-matrices, rank intervals — has to match the scalar/public APIs
-exactly, same seeds giving same ranks.
+matrices, rank intervals — has to match the independent references
+(the plain 2-D NumPy reference in :mod:`repro.fuzz`, explicit scalar
+sums, per-pair HiGHS LPs) and the public APIs exactly, same seeds
+giving same ranks.  :class:`BatchEvaluator` is the ``P = 1`` view of
+:class:`StackedEvaluator`.
 """
+
+import inspect
+
 
 import numpy as np
 import pytest
@@ -15,6 +21,7 @@ from repro.core.dominance import dominance_matrix
 from repro.core.engine import (
     BatchEvaluator,
     CompiledProblem,
+    StackedEvaluator,
     compile_problem,
     rank_matrix,
 )
@@ -28,7 +35,11 @@ from repro.core.rankintervals import rank_intervals
 from repro.core.scales import MISSING, linguistic_0_3
 from repro.core.utility import banded_discrete_utility
 from repro.core.weights import WeightSystem
-from repro.fuzz import dominance_oracle
+from repro.fuzz import (
+    dominance_oracle,
+    reference_monte_carlo,
+    reference_readings,
+)
 
 from ..conftest import make_small_problem
 
@@ -81,17 +92,27 @@ class TestCompiledProblem:
         with pytest.raises(TypeError):
             BatchEvaluator(42)
 
+    def test_view_holds_no_array_kernel(self):
+        """BatchEvaluator delegates every number to the stacked kernels."""
+        source = inspect.getsource(BatchEvaluator)
+        for kernel in (" @ ", "matmul", "einsum", "lexsort", "add.at", "uniform"):
+            assert kernel not in source
+
 
 class TestEvaluationEquivalence:
     def test_fig6_ranking_identical(self, case_problem, case_model):
-        batch = BatchEvaluator(compile_problem(case_problem)).evaluate()
-        scalar = case_model.evaluate()
-        assert batch.problem_name == scalar.problem_name
-        for b, s in zip(batch, scalar):
-            assert (b.name, b.rank) == (s.name, s.rank)
-            assert b.minimum == s.minimum
-            assert b.average == s.average
-            assert b.maximum == s.maximum
+        compiled = compile_problem(case_problem)
+        batch = BatchEvaluator(compiled).evaluate()
+        ref = reference_readings(compiled)
+        assert batch.problem_name == case_model.evaluate().problem_name
+        assert [row.name for row in batch] == [
+            compiled.alternative_names[i] for i in ref["order"]
+        ]
+        for rank, (row, i) in enumerate(zip(batch, ref["order"]), start=1):
+            assert row.rank == rank
+            assert row.minimum == ref["min"][i]
+            assert row.average == ref["avg"][i]
+            assert row.maximum == ref["max"][i]
 
     def test_evaluate_function_path(self, case_problem):
         by_objective = evaluate(case_problem, "Understandability")
@@ -101,24 +122,48 @@ class TestEvaluationEquivalence:
         assert by_objective.names_by_rank == batch.names_by_rank
 
     def test_utility_intervals(self, case_model):
-        evaluator = case_model.evaluator
-        intervals = evaluator.utility_intervals()
-        mins = evaluator.minimum_utilities()
-        maxs = evaluator.maximum_utilities()
-        for i, iv in enumerate(intervals):
-            assert iv.lower == float(mins[i])
-            assert iv.upper == float(maxs[i])
+        """The Fig. 6 [min, max] intervals are the stacked kernel's."""
+        stacked = StackedEvaluator([case_model.compiled])
+        mins = stacked.minimum_utilities()[0]
+        maxs = stacked.maximum_utilities()[0]
+        for row in case_model.evaluate():
+            i = case_model.alternative_names.index(row.name)
+            assert row.minimum == float(mins[i])
+            assert row.maximum == float(maxs[i])
 
     def test_scenario_ranks_match_single_evaluations(self, case_model):
         rng = np.random.default_rng(5)
         weights = rng.dirichlet(np.ones(case_model.n_attributes), size=8)
-        evaluator = case_model.evaluator
-        ranks = evaluator.scenario_ranks(weights)
+        stacked = StackedEvaluator([case_model.compiled])
+        ranks = stacked.scenario_ranks(weights[None])[0]
         assert ranks.shape == (8, case_model.n_alternatives)
         for s in range(8):
             utilities = case_model.utilities_for_weights(weights[s])
             expected = rank_matrix(utilities[None, :])[0]
             assert np.array_equal(ranks[s], expected)
+
+    def test_utilities_for_weights_match_reference(self, case_model):
+        compiled = case_model.compiled
+        rng = np.random.default_rng(8)
+        weights = rng.dirichlet(np.ones(compiled.n_attributes), size=5)
+        evaluator = case_model.evaluator
+        assert np.array_equal(
+            evaluator.utilities_for_weights(weights[0]),
+            compiled.u_avg @ weights[0],
+        )
+        assert np.array_equal(
+            evaluator.utilities_for_weights(weights), compiled.u_avg @ weights.T
+        )
+
+    @pytest.mark.parametrize(
+        "shape", [(), (2, 14, 5), (1, 1, 14), (13,), (4, 15)]
+    )
+    def test_utilities_for_weights_rejects_bad_shapes(self, case_model, shape):
+        """Only (k,) and (S, k) are accepted; a 3-D array used to
+        broadcast silently and a 0-D one raised IndexError."""
+        assert case_model.n_attributes == 14
+        with pytest.raises(ValueError, match="expected weights of shape"):
+            case_model.evaluator.utilities_for_weights(np.full(shape, 0.1))
 
 
 class TestMonteCarloEquivalence:
@@ -133,13 +178,8 @@ class TestMonteCarloEquivalence:
             seed=99,
             sample_utilities=mode,
         )
-        ranks, acceptance = BatchEvaluator(
-            compile_problem(problem)
-        ).monte_carlo_ranks(
-            method=method,
-            n_simulations=256,
-            seed=99,
-            sample_utilities=mode,
+        ranks, acceptance = reference_monte_carlo(
+            compile_problem(problem), method, 256, 99, mode
         )
         assert np.array_equal(via_public.ranks, ranks)
         assert via_public.acceptance_rate == acceptance
@@ -159,9 +199,9 @@ class TestMonteCarloEquivalence:
     def test_full_utility_sampling_respects_envelopes(self):
         problem = make_small_problem(missing_cell=True)
         compiled = compile_problem(problem)
-        evaluator = BatchEvaluator(compiled)
+        stacked = StackedEvaluator([compiled])
         rng = np.random.default_rng(11)
-        u = evaluator._sampled_utility_tensor(128, rng)
+        u = stacked._sampled_utility_tensor(128, [rng])[0]
         assert u.shape == (128, compiled.n_alternatives, compiled.n_attributes)
         # Draws stay inside the class envelopes after monotonisation.
         assert np.all(u >= compiled.u_low[None] - 1e-12)

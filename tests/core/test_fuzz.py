@@ -1,5 +1,6 @@
 """Tests for the differential fuzz harness (clean, broken-kernel, replay)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -45,6 +46,49 @@ class TestBrokenKernel:
             return out
 
         monkeypatch.setattr(engine.StackedEvaluator, "average_utilities", skewed)
+
+    @pytest.fixture()
+    def broken_missing_mc(self, monkeypatch):
+        original = engine.StackedEvaluator._apply_missing_corrections
+
+        def skewed(self, utilities, weights, rngs):
+            before = utilities.copy()
+            original(self, utilities, weights, rngs)
+            utilities += utilities - before  # corrections applied twice
+
+        monkeypatch.setattr(
+            engine.StackedEvaluator, "_apply_missing_corrections", skewed
+        )
+
+    @pytest.fixture()
+    def broken_borda(self, monkeypatch):
+        original = engine.StackedEvaluator.group_results
+
+        def skewed(self, roster):
+            return tuple(
+                dataclasses.replace(r, borda=r.borda[1::-1] + r.borda[2:])
+                for r in original(self, roster)
+            )
+
+        monkeypatch.setattr(engine.StackedEvaluator, "group_results", skewed)
+
+    def test_borda_skew_reported_as_group(self, broken_borda):
+        # The one-member stack runs the same kernel, so only the
+        # recompiling reference can see this.
+        report = fuzz.run_fuzz(cases=8, seed=0, shrink=False)
+        assert {d.oracle for d in report.divergences} == {"group"}
+
+    def test_monte_carlo_skew_reported_as_stacked_mc(
+        self, tmp_path, broken_missing_mc, capsys
+    ):
+        # Chunk 3 (cases 24..31) is the first to sample missing cells.
+        code = fuzz.main(
+            ["--cases", "32", "--seed", "0", "--no-shrink", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert "DIVERGE [stacked-mc]" in capsys.readouterr().out
+        (repro,) = tmp_path.iterdir()
+        assert json.loads(repro.read_text())["oracle"] == "stacked-mc"
 
     def test_divergence_detected_and_repro_emitted(self, tmp_path, broken_average):
         report = fuzz.run_fuzz(cases=8, seed=0, out_dir=tmp_path)

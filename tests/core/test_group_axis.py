@@ -1,4 +1,9 @@
-"""The engine's members axis: bit-identity with the scalar group loop."""
+"""The engine's members axis: bit-identity with the scalar group loop.
+
+Expected rankings come from the plain 2-D NumPy reference in
+:mod:`repro.fuzz` over ``problem.with_weights(...)`` recompiled per
+member, never from the stacked kernel under test.
+"""
 
 import json
 
@@ -14,12 +19,24 @@ from repro.core.engine import (
     compile_problem,
     compile_roster,
 )
-from repro.core.group import GroupMember, borda_ranking
+from repro.core.group import (
+    GroupMember,
+    aggregate_weights,
+    borda_ranking,
+    disagreement,
+)
 from repro.core.interval import Interval
-from repro.core.model import evaluate
 from repro.core.weights import WeightSystem
+from repro.fuzz import reference_readings
 
 from ..conftest import make_small_problem
+
+
+def reference_ranking(problem, weights):
+    """Names by the reference order of ``problem`` recompiled under ``weights``."""
+    compiled = compile_problem(problem.with_weights(weights))
+    order = reference_readings(compiled)["order"]
+    return tuple(compiled.alternative_names[i] for i in order)
 
 
 def make_members(hierarchy, n=4, spread=0.15):
@@ -112,57 +129,55 @@ class TestMemberAxisBitIdentity:
     def test_member_utilities_equal_scalar_matvec(
         self, problem, members, roster
     ):
-        evaluator = BatchEvaluator(compile_problem(problem))
-        tensor = evaluator.member_average_utilities(roster)
+        stacked = StackedEvaluator([compile_problem(problem)])
+        tensor = stacked.group_member_utilities(StackedRoster([roster]))[0]
         for k, member in enumerate(members):
-            scalar = BatchEvaluator(
+            scalar = reference_readings(
                 compile_problem(problem.with_weights(member.weights))
-            ).average_utilities()
+            )["avg"]
             assert np.array_equal(tensor[k], scalar)
 
     def test_member_rankings_equal_scalar_evaluate(
         self, problem, members, roster
     ):
         evaluator = BatchEvaluator(compile_problem(problem))
-        rankings = evaluator.member_rankings(roster)
+        rankings = evaluator.group_result(roster).member_rankings
         for k, member in enumerate(members):
-            expected = evaluate(
-                problem.with_weights(member.weights)
-            ).names_by_rank
-            assert rankings[k] == expected
+            assert rankings[k] == reference_ranking(problem, member.weights)
 
     def test_borda_equals_scalar_borda(self, problem, members, roster):
         evaluator = BatchEvaluator(compile_problem(problem))
         scalar_rankings = [
-            evaluate(problem.with_weights(m.weights)).names_by_rank
-            for m in members
+            reference_ranking(problem, m.weights) for m in members
         ]
-        assert evaluator.borda_order(roster) == borda_ranking(scalar_rankings)
+        borda = evaluator.group_result(roster).borda
+        assert borda == borda_ranking(scalar_rankings)
 
     @pytest.mark.parametrize("method", ["intersection", "hull"])
     def test_group_evaluation_equals_scalar_aggregate(
         self, problem, members, roster, method
     ):
-        from repro.core.group import aggregate_weights
-
         evaluator = BatchEvaluator(compile_problem(problem))
-        expected = evaluate(
-            problem.with_weights(aggregate_weights(members, method))
+        weights = aggregate_weights(members, method)
+        ref = reference_readings(
+            compile_problem(problem.with_weights(weights))
         )
         got = evaluator.group_evaluation(roster, method)
-        assert got.names_by_rank == expected.names_by_rank
-        for row, exp in zip(got, expected):
+        assert got.names_by_rank == reference_ranking(problem, weights)
+        for row, i in zip(got, ref["order"]):
             assert (row.minimum, row.average, row.maximum) == (
-                exp.minimum,
-                exp.average,
-                exp.maximum,
+                ref["min"][i],
+                ref["avg"][i],
+                ref["max"][i],
             )
 
     def test_roster_attribute_count_mismatch_rejected(self, roster):
         other = make_small_problem(name="other")
-        evaluator = BatchEvaluator(compile_problem(other.restricted_to("quality")))
+        stacked = StackedEvaluator(
+            [compile_problem(other.restricted_to("quality"))]
+        )
         with pytest.raises(ValueError, match="attributes"):
-            evaluator.member_average_utilities(roster)
+            stacked.group_member_utilities(StackedRoster([roster]))
 
 
 class TestGroupResult:
@@ -191,14 +206,35 @@ class TestStackedGroup:
             make_small_problem(name="p2"),
         ]
         compiled = [compile_problem(p) for p in problems]
-        rosters = [
-            compile_roster(make_members(p.hierarchy), p.hierarchy)
-            for p in problems
-        ]
+        rosters, expected = [], []
+        for k, p in enumerate(problems):
+            # p2's members are irreconcilable: no consensus.
+            members = make_members(p.hierarchy, spread=0.5 if k == 2 else 0.15)
+            roster = compile_roster(members, p.hierarchy)
+            rosters.append(roster)
+            rankings = tuple(
+                reference_ranking(p, m.weights) for m in members
+            )
+            expected.append(
+                GroupResult(
+                    member_names=tuple(m.name for m in members),
+                    member_rankings=rankings,
+                    borda=borda_ranking(rankings),
+                    tolerant=reference_ranking(
+                        p, aggregate_weights(members, "hull")
+                    ),
+                    consensus=None
+                    if k == 2
+                    else reference_ranking(
+                        p, aggregate_weights(members, "intersection")
+                    ),
+                    disjoint=roster.disjoint_nodes,
+                    disagreement=tuple(disagreement(members).items()),
+                )
+            )
+        assert expected[2].disjoint and not expected[0].disjoint
         stacked = StackedEvaluator(StackedProblem(compiled))
-        results = stacked.group_results(StackedRoster(rosters))
-        for k, (c, r) in enumerate(zip(compiled, rosters)):
-            assert results[k] == BatchEvaluator(c).group_result(r)
+        assert stacked.group_results(StackedRoster(rosters)) == tuple(expected)
 
     def test_stacked_roster_validation(self, problem, members):
         roster = compile_roster(members, problem.hierarchy)

@@ -1,24 +1,30 @@
 """Equivalence tests for the stacked multi-problem engine.
 
-A stack must be a pure speedup over evaluating each member alone:
-every deterministic reading, every ranking, every dominance matrix and
-every seeded Monte Carlo slice has to match the per-problem
-:class:`~repro.core.engine.BatchEvaluator` exactly — regardless of
-which other problems share the stack.
+The stack is the only evaluation kernel, so each member is checked
+against independent per-problem references: every deterministic
+reading, every ranking and every seeded Monte Carlo slice has to match
+the plain 2-D NumPy reference in :mod:`repro.fuzz` exactly, and every
+dominance matrix the per-pair HiGHS oracle — regardless of which other
+problems share the stack.
 """
 
 import numpy as np
 import pytest
 
 from repro.casestudy.problem import multimedia_problem
-from repro.core.dominance import dominance_matrix
 from repro.core.engine import (
-    BatchEvaluator,
     StackedEvaluator,
     StackedProblem,
     compile_problem,
+    rank_matrix,
     stack_problems,
     stacked_dominance,
+)
+from repro.core.rankintervals import rank_intervals
+from repro.fuzz import (
+    dominance_oracle,
+    reference_monte_carlo,
+    reference_readings,
 )
 
 from ..conftest import make_small_problem
@@ -80,29 +86,32 @@ class TestDeterministicEquivalence:
         avgs = evaluator.average_utilities()
         maxs = evaluator.maximum_utilities()
         for p, member in enumerate(small_stack.members):
-            single = BatchEvaluator(member)
-            assert np.array_equal(mins[p], single.minimum_utilities())
-            assert np.array_equal(avgs[p], single.average_utilities())
-            assert np.array_equal(maxs[p], single.maximum_utilities())
+            ref = reference_readings(member)
+            assert np.array_equal(mins[p], ref["min"])
+            assert np.array_equal(avgs[p], ref["avg"])
+            assert np.array_equal(maxs[p], ref["max"])
 
     def test_ranking_orders_match(self, small_stack):
         evaluator = StackedEvaluator(small_stack)
         orders = evaluator.ranking_orders()
         for p, member in enumerate(small_stack.members):
-            assert np.array_equal(
-                orders[p], BatchEvaluator(member).ranking_order()
-            )
+            assert np.array_equal(orders[p], reference_readings(member)["order"])
 
     def test_evaluate_all_matches_member_evaluations(self, small_stack):
         stacked = StackedEvaluator(small_stack).evaluate_all()
         for p, member in enumerate(small_stack.members):
-            single = BatchEvaluator(member).evaluate()
-            assert stacked[p].problem_name == single.problem_name
-            for a, b in zip(stacked[p], single):
-                assert (a.name, a.rank) == (b.name, b.rank)
-                assert a.minimum == b.minimum
-                assert a.average == b.average
-                assert a.maximum == b.maximum
+            ref = reference_readings(member)
+            assert stacked[p].problem_name == member.name
+            for rank, (row, i) in enumerate(
+                zip(stacked[p], ref["order"]), start=1
+            ):
+                assert (row.name, row.rank) == (
+                    member.alternative_names[i],
+                    rank,
+                )
+                assert row.minimum == ref["min"][i]
+                assert row.average == ref["avg"][i]
+                assert row.maximum == ref["max"][i]
 
     def test_accepts_plain_sequence(self):
         members = [
@@ -121,7 +130,7 @@ class TestDeterministicEquivalence:
         )
         stacked_ranks = evaluator.scenario_ranks(weights)
         for p, member in enumerate(small_stack.members):
-            single = BatchEvaluator(member).scenario_ranks(weights[p])
+            single = rank_matrix(weights[p] @ member.u_avg.T)
             assert np.array_equal(stacked_ranks[p], single)
 
 
@@ -141,13 +150,8 @@ class TestStackedMonteCarlo:
             small_stack.n_alternatives,
         )
         for p, member in enumerate(small_stack.members):
-            single_ranks, single_acc = BatchEvaluator(
-                member
-            ).monte_carlo_ranks(
-                method=method,
-                n_simulations=193,
-                seed=77,
-                sample_utilities=mode,
+            single_ranks, single_acc = reference_monte_carlo(
+                member, method, 193, 77, mode
             )
             assert np.array_equal(ranks[p], single_ranks)
             assert acceptance[p] == single_acc
@@ -159,8 +163,8 @@ class TestStackedMonteCarlo:
             n_simulations=64, seed=seeds, sample_utilities="missing"
         )
         for p, member in enumerate(small_stack.members):
-            single, _ = BatchEvaluator(member).monte_carlo_ranks(
-                n_simulations=64, seed=seeds[p], sample_utilities="missing"
+            single, _ = reference_monte_carlo(
+                member, "intervals", 64, seeds[p], "missing"
             )
             assert np.array_equal(ranks[p], single)
 
@@ -209,13 +213,13 @@ class TestStackedDominance:
             small_stack.n_alternatives,
         )
         for p, member in enumerate(small_stack.members):
-            assert np.array_equal(stacked[p], dominance_matrix(member))
+            assert np.array_equal(stacked[p], dominance_oracle(member))
 
     def test_evaluator_dominance_and_rank_intervals(self, small_stack):
         evaluator = StackedEvaluator(small_stack)
         matrices = evaluator.dominance_matrices()
         intervals = evaluator.rank_intervals_all()
         for p, member in enumerate(small_stack.members):
-            single = BatchEvaluator(member)
-            assert np.array_equal(matrices[p], single.dominance_matrix())
-            assert intervals[p] == single.rank_intervals()
+            oracle = dominance_oracle(member)
+            assert np.array_equal(matrices[p], oracle)
+            assert intervals[p] == rank_intervals(member, matrix=oracle)
