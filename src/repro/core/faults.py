@@ -1,8 +1,8 @@
 """Seeded, deterministic fault injection for the registry runtime.
 
 Production registries live with partial failure: workers die, NFS
-reads return ``EIO`` halfway through an ``.npz``, a power cut tears a
-sqlite page, a poll loop races a deploy.  This module makes those
+reads return ``EIO`` halfway through a compiled artifact, a power cut
+tears a sqlite page, a poll loop races a deploy.  This module makes those
 failures *injectable* so the recovery paths in
 :mod:`repro.core.runtime`, :mod:`repro.core.workspace` and
 :mod:`repro.core.index` are exercised deterministically instead of
@@ -17,7 +17,8 @@ worker processes inside ``BatchOptions`` — holding one
     chunk, producing a real ``BrokenProcessPool`` in the parent.
 ``artifact_read``
     raise :class:`InjectedFault` (an ``OSError``) inside compiled
-    ``.npz`` artifact loads, forcing the recompile-from-JSON fallback.
+    artifact loads, before the file is opened, forcing the
+    recompile-from-JSON fallback.
 ``chunk_delay``
     sleep before evaluating a chunk, long enough to trip the runner's
     no-progress timeout and exercise hung-worker abandonment.

@@ -185,7 +185,7 @@ def eval_config_hash(options) -> str:
     that determine a run's *numbers* — ``objectives``, ``simulations``,
     (only when simulating) ``method`` and ``seed``, and (only for group
     runs) the member-roster digest.  Transport
-    knobs (``use_disk_cache``, ``refresh_cache``, ``mmap``) and the
+    knobs (``use_disk_cache``, ``refresh_cache``) and the
     worker/chunk layout never influence results (the PR 2 determinism
     contract), so they are deliberately excluded: the same registry
     evaluated with any worker count shares one cache entry.
@@ -786,7 +786,7 @@ class RegistryIndex:
             # artifact payload, under workspace.py's single freshness
             # definition.
             arrays, npz_path, source_sha = _workspace._fresh_artifact(
-                Path(key), mmap_arrays=True
+                Path(key)
             )
         except OSError:
             return None, "error"

@@ -108,7 +108,6 @@ class BatchOptions:
     seed: Optional[int] = None
     use_disk_cache: bool = True
     refresh_cache: bool = True
-    mmap: bool = True
     group: Optional[Tuple[Tuple[str, Tuple[Tuple[str, float, float], ...]], ...]] = None
     #: A :class:`~repro.core.faults.FaultPlan` to run under (chaos
     #: testing only).  Travels to the workers with the options, is
@@ -434,9 +433,7 @@ def _load_chunk_problems(
                 )
             elif options.use_disk_cache:
                 compiled = workspace.load_compiled_fast(
-                    path,
-                    refresh=options.refresh_cache,
-                    mmap_arrays=options.mmap,
+                    path, refresh=options.refresh_cache
                 )
                 loaded.append((index, 0, path, compiled, None))
             else:
@@ -772,7 +769,6 @@ class ShardedRunner:
                                     path,
                                     old.content_hash,
                                     old.component_json,
-                                    mmap_arrays=self.options.mmap,
                                 )
                                 if old is not None and old.component_json
                                 else None

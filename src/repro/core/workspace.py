@@ -12,25 +12,22 @@ reject unknown versions instead of guessing.
 
 Two compile-cache layers also live here (see ``docs/caching.md``): an
 in-process LRU keyed by the canonical workspace JSON
-(:func:`compile_cached`) and persisted ``.npz`` compiled-artifact
-siblings keyed by raw-byte and semantic sha256
-(:func:`load_compiled_fast`).  The cross-run *result* cache — the
+(:func:`compile_cached`) and persisted compiled-artifact siblings (flat
+checksummed files, still named ``.npz``) keyed by raw-byte and semantic
+sha256 (:func:`load_compiled_fast`).  The cross-run *result* cache — the
 registry index — builds on the same ``content_hash`` and lives in
 :mod:`repro.core.index`.
 """
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import json
+import math
 import mmap
 import os
-import struct
-import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass
-from io import BytesIO
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -61,7 +58,6 @@ __all__ = [
     "compile_cache_info",
     "clear_compile_cache",
     "compiled_array_path",
-    "payload_checksum",
     "save_compiled_arrays",
     "load_compiled_arrays",
     "load_compiled_fast",
@@ -74,7 +70,7 @@ __all__ = [
 ]
 
 FORMAT = "repro-workspace/1"
-COMPILED_FORMAT = "repro-compiled/2"
+COMPILED_FORMAT = "repro-compiled/3"
 
 
 # ----------------------------------------------------------------------
@@ -370,15 +366,15 @@ def clear_compile_cache() -> None:
 
 
 # ----------------------------------------------------------------------
-# Persisted compiled artifacts (.npz next to the workspace JSON)
+# Persisted compiled artifacts (a flat file next to the workspace JSON)
 # ----------------------------------------------------------------------
 #
 # The in-memory LRU above only helps within one process.  A sharded
 # batch run (:mod:`repro.core.runtime`) cold-starts many worker
 # processes, each of which would otherwise re-parse and re-compile
-# every workspace JSON.  Persisting the compiled dense arrays as an
-# ``.npz`` sibling of the workspace file turns that cold start into an
-# ``mmap`` of ready-to-use tensors:
+# every workspace JSON.  Persisting the compiled dense arrays as a
+# sibling of the workspace file turns that cold start into an ``mmap``
+# of ready-to-use tensors:
 #
 # * the artifact is **keyed by content**: it stores the semantic
 #   content hash (sha256 of the canonical workspace JSON) plus the
@@ -388,11 +384,14 @@ def clear_compile_cache() -> None:
 # * writes are **atomic** (temp file + ``os.replace``), so concurrent
 #   writers — e.g. several shard workers warming the same registry —
 #   can race freely: readers only ever see a complete artifact and
-#   every writer produces identical bytes-for-equal-content arrays;
-# * loads **mmap** the big float tensors straight out of the
-#   uncompressed zip members (``np.savez`` stores members with
-#   ``ZIP_STORED``), so fork-based worker pools share pages instead of
-#   materialising per-process copies.
+#   writers of equal content produce identical bytes;
+# * the file is **one flat buffer** — magic, checksum, a canonical JSON
+#   header, then raw C-order arrays at 64-byte-aligned offsets — so a
+#   load is one ``mmap`` plus ``np.frombuffer`` views, and fork-based
+#   worker pools share pages instead of materialising per-process
+#   copies.  The file keeps the ``.npz`` name so registries written by
+#   older versions heal in place: an old zip fails the magic check,
+#   misses and is overwritten, leaving no orphan behind.
 
 _ARRAY_FIELDS = (
     "u_low",
@@ -407,6 +406,27 @@ _ARRAY_FIELDS = (
     "key_count",
     "alt_key",
 )
+
+#: Identity metadata carried in the artifact header next to the
+#: array layout; :func:`load_compiled_arrays` returns each under its
+#: own key.
+_ARTIFACT_METADATA = (
+    "problem_name",
+    "attribute_names",
+    "alternative_names",
+    "source_sha",
+    "content_hash",
+    "component_json",
+)
+
+_ARTIFACT_MAGIC = b"\x93RPRCMP\n"
+#: Byte length of magic + 64-hex ``payload_sha`` + 8-byte header length.
+_ARTIFACT_PREFIX = len(_ARTIFACT_MAGIC) + 64 + 8
+_ARTIFACT_ALIGN = 64
+#: The only dtypes a compiled form lowers to (float64, int64, bool).
+_ARTIFACT_DTYPES = ("<f8", "<i8", "|b1")
+
+
 def content_hash(problem: DecisionProblem) -> str:
     """sha256 of the canonical workspace JSON — the semantic cache key."""
     return hashlib.sha256(canonical_key(problem).encode("utf-8")).hexdigest()
@@ -470,7 +490,7 @@ def component_json(problem: DecisionProblem) -> str:
     """Canonical JSON text of :func:`component_hashes`.
 
     This is what the registry index stores per workspace row (schema
-    v3) and what compiled ``.npz`` artifacts carry, so a later run can
+    v3) and what compiled artifacts carry, so a later run can
     diff components without re-hashing the old problem.
     """
     return json.dumps(
@@ -491,37 +511,6 @@ def _file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-#: Metadata members folded into the artifact payload checksum (the
-#: dense arrays in :data:`_ARRAY_FIELDS` are always included).
-_CHECKSUM_METADATA = (
-    "problem_name",
-    "attribute_names",
-    "alternative_names",
-    "source_sha",
-    "content_hash",
-)
-
-
-def payload_checksum(arrays: Mapping[str, np.ndarray]) -> str:
-    """SHA-256 over an artifact's array bytes and identity metadata.
-
-    Stored in the artifact as ``payload_sha`` and re-derived on every
-    load, so corruption *inside* a member's data region — which the
-    zero-copy mmap path's skipped zip CRC would otherwise let through —
-    turns the load into an ordinary cache miss.  Compiled arrays are
-    small (a shortlist times a criteria tree), so this costs microseconds
-    against the artifact's I/O.
-    """
-    digest = hashlib.sha256()
-    for field in (*_ARRAY_FIELDS, *_CHECKSUM_METADATA):
-        arr = np.ascontiguousarray(arrays[field])
-        digest.update(field.encode())
-        digest.update(str(arr.dtype).encode())
-        digest.update(str(arr.shape).encode())
-        digest.update(arr.tobytes())
-    return digest.hexdigest()
-
-
 def save_compiled_arrays(
     compiled: CompiledProblem,
     npz_path: Union[str, Path],
@@ -529,7 +518,16 @@ def save_compiled_arrays(
     semantic_hash: str,
     component_json: Optional[str] = None,
 ) -> Path:
-    """Atomically persist a compiled form's dense arrays as ``.npz``.
+    """Atomically persist a compiled form as one flat artifact file.
+
+    Layout: an 8-byte magic, the 64-hex ``payload_sha``, an 8-byte
+    little-endian header length, the canonical JSON header (format,
+    :data:`_ARTIFACT_METADATA` and ``[dtype, shape, offset]`` per
+    :data:`_ARRAY_FIELDS`), then the raw C-order arrays at 64-byte-
+    aligned offsets counted from the 64-byte-aligned end of the header.
+    ``payload_sha`` is the sha256 of every byte after it and is
+    re-derived on every load, so a truncated, torn or bit-rotted
+    artifact reads as a cache miss.
 
     The write goes to a unique temp file in the target directory and is
     published with ``os.replace``, so a reader can never observe a
@@ -544,30 +542,48 @@ def save_compiled_arrays(
     JSON.
     """
     npz_path = Path(npz_path)
-    payload: Dict[str, np.ndarray] = {
-        field: np.ascontiguousarray(getattr(compiled, field))
-        for field in _ARRAY_FIELDS
-    }
-    payload["alt_key"] = payload["alt_key"].astype(np.int64)
-    payload["key_count"] = payload["key_count"].astype(np.int64)
-    payload["problem_name"] = np.array(compiled.name)
-    payload["attribute_names"] = np.array(compiled.attribute_names)
-    payload["alternative_names"] = np.array(compiled.alternative_names)
-    payload["format"] = np.array(COMPILED_FORMAT)
-    payload["source_sha"] = np.array(source_sha)
-    payload["content_hash"] = np.array(semantic_hash)
-    if component_json is not None:
-        payload["component_json"] = np.array(component_json)
-    payload["payload_sha"] = np.array(payload_checksum(payload))
-
-    buffer = BytesIO()
-    np.savez(buffer, **payload)
+    layout: Dict[str, List[Any]] = {}
+    chunks: List[bytes] = []
+    offset = 0
+    for field in _ARRAY_FIELDS:
+        arr = np.ascontiguousarray(getattr(compiled, field))
+        if arr.dtype.kind == "i":
+            arr = arr.astype(np.int64)
+        pad = -offset % _ARTIFACT_ALIGN
+        chunks += [bytes(pad), arr.tobytes()]
+        offset += pad
+        layout[field] = [arr.dtype.str, list(arr.shape), offset]
+        offset += arr.nbytes
+    header = json.dumps(
+        {
+            "format": COMPILED_FORMAT,
+            "problem_name": compiled.name,
+            "attribute_names": list(compiled.attribute_names),
+            "alternative_names": list(compiled.alternative_names),
+            "source_sha": source_sha,
+            "content_hash": semantic_hash,
+            "component_json": component_json,
+            "arrays": layout,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode("utf-8")
+    header_end = _ARTIFACT_PREFIX + len(header)
+    body = b"".join(
+        [
+            len(header).to_bytes(8, "little"),
+            header,
+            bytes(-header_end % _ARTIFACT_ALIGN),
+            *chunks,
+        ]
+    )
+    digest = hashlib.sha256(body).hexdigest()
     tmp_path = npz_path.with_name(
-        f".{npz_path.name}.tmp.{os.getpid()}.{id(buffer):x}"
+        f".{npz_path.name}.tmp.{os.getpid()}.{id(body):x}"
     )
     try:
         with open(tmp_path, "wb") as fh:
-            fh.write(buffer.getvalue())
+            fh.write(_ARTIFACT_MAGIC + digest.encode("ascii") + body)
         os.replace(tmp_path, npz_path)
     finally:
         try:
@@ -605,106 +621,19 @@ def sweep_temp_artifacts(directory: Union[str, Path]) -> int:
     return removed
 
 
-# npy headers repeat across a registry (same shapes, same dtypes), so
-# the ast parse of each distinct header happens once per process.
-_NPY_HEADER_CACHE: Dict[bytes, Tuple[Tuple[int, ...], bool, np.dtype]] = {}
-
-
-def _parse_npy_header(
-    buf, start: int
-) -> "Optional[Tuple[Tuple[int, ...], bool, np.dtype, int]]":
-    """(shape, fortran, dtype, data_offset) of an npy blob at ``start``."""
-    if bytes(buf[start:start + 6]) != b"\x93NUMPY":
-        return None
-    major = buf[start + 6]
-    if major == 1:
-        (header_len,) = struct.unpack_from("<H", buf, start + 8)
-        header_start = start + 10
-    elif major == 2:
-        (header_len,) = struct.unpack_from("<I", buf, start + 8)
-        header_start = start + 12
-    else:  # pragma: no cover - future npy versions
-        return None
-    header = bytes(buf[header_start:header_start + header_len])
-    parsed = _NPY_HEADER_CACHE.get(header)
-    if parsed is None:
-        try:
-            fields = ast.literal_eval(header.decode("latin1"))
-            parsed = (
-                tuple(fields["shape"]),
-                bool(fields["fortran_order"]),
-                np.dtype(fields["descr"]),
-            )
-        except (ValueError, KeyError, TypeError, SyntaxError):
-            return None  # pragma: no cover - corrupt member
-        _NPY_HEADER_CACHE[header] = parsed
-    shape, fortran, dtype = parsed
-    return shape, fortran, dtype, header_start + header_len
-
-
-def _read_npz_mmapped(npz_path: Path) -> Optional[Dict[str, np.ndarray]]:
-    """One-pass zero-copy read of an uncompressed ``.npz``.
-
-    The whole archive is mapped read-only once; every member becomes an
-    ``np.frombuffer`` view straight into the mapping — no decompression,
-    no per-member file opens, no data copies.  Forked worker pools
-    therefore share one page-cache copy of every registry artifact.
-    Returns ``None`` whenever the archive needs the slow path.
-
-    Trade-off: like ``np.load(..., mmap_mode="r")`` on a bare ``.npy``,
-    this path skips the zip CRC check — a truncated or out-of-bounds
-    member still fails safely (``np.frombuffer`` bounds-checks against
-    the mapping and the caller treats the error as a cache miss), but
-    silent bit-rot *inside* a member's data region is not detected.
-    Artifacts are disposable derived data keyed by the source hash;
-    delete the ``.npz`` (or load with ``mmap_arrays=False``) to force a
-    fully-checked read.
-    """
-    with open(npz_path, "rb") as fh:
-        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        arrays: Dict[str, np.ndarray] = {}
-        with zipfile.ZipFile(fh) as zf:
-            for info in zf.infolist():
-                if (
-                    info.compress_type != zipfile.ZIP_STORED
-                    or not info.filename.endswith(".npy")
-                ):
-                    return None
-                offset = info.header_offset
-                name_len, extra_len = struct.unpack_from(
-                    "<HH", buf, offset + 26
-                )
-                parsed = _parse_npy_header(
-                    buf, offset + 30 + name_len + extra_len
-                )
-                if parsed is None:
-                    return None
-                shape, fortran, dtype, data_offset = parsed
-                if dtype.hasobject:  # pragma: no cover - never written
-                    return None
-                count = 1
-                for dim in shape:
-                    count *= dim
-                member = np.frombuffer(
-                    buf, dtype=dtype, count=count, offset=data_offset
-                )
-                arrays[info.filename[:-4]] = member.reshape(
-                    shape, order="F" if fortran else "C"
-                )
-    return arrays
-
-
 def load_compiled_arrays(
-    npz_path: Union[str, Path], mmap_arrays: bool = True
-) -> Optional[Dict[str, np.ndarray]]:
-    """Read a compiled artifact; arrays are mmap-backed views by default.
+    npz_path: Union[str, Path],
+) -> Optional[Dict[str, Any]]:
+    """Read a compiled artifact: one ``mmap``, arrays as read-only views.
 
-    Returns ``None`` for a missing, unreadable, wrong-format or
-    corrupt file — the caller treats that exactly like a cache miss
-    and recompiles from the workspace JSON.  Every member named by the
-    format must be present and the recorded ``payload_sha`` must match
-    the re-derived :func:`payload_checksum`, so a truncated, torn or
-    bit-rotted artifact can never reach evaluation.
+    Returns the :data:`_ARRAY_FIELDS` arrays plus ``format``,
+    ``payload_sha`` and the :data:`_ARTIFACT_METADATA` values, or
+    ``None`` for a missing, unreadable, wrong-format or corrupt file —
+    the caller treats that exactly like a cache miss and recompiles
+    from the workspace JSON.  The recorded ``payload_sha`` must match,
+    and even a checksummed header must name every array field with an
+    allowed dtype, non-negative integer dimensions and an extent inside
+    the file, so a damaged artifact can never reach evaluation.
     """
     npz_path = Path(npz_path)
     if not npz_path.is_file():
@@ -713,30 +642,46 @@ def load_compiled_arrays(
         plan = faults.active()
         if plan is not None:
             plan.strike("artifact_read", str(npz_path))
-        arrays = _read_npz_mmapped(npz_path) if mmap_arrays else None
-        if arrays is None:
-            with np.load(npz_path, allow_pickle=False) as npz:
-                arrays = {key: npz[key] for key in npz.files}
-        if str(arrays.get("format")) != COMPILED_FORMAT:
+        with open(npz_path, "rb") as fh:
+            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        magic_end = len(_ARTIFACT_MAGIC)
+        if buf[:magic_end] != _ARTIFACT_MAGIC:
             return None
-        for field in (*_ARRAY_FIELDS, *_CHECKSUM_METADATA, "payload_sha"):
-            if field not in arrays:
+        payload_sha = buf[magic_end:magic_end + 64].decode("ascii")
+        body = memoryview(buf)[magic_end + 64:]
+        if hashlib.sha256(body).hexdigest() != payload_sha:
+            return None
+        header_end = _ARTIFACT_PREFIX + int.from_bytes(body[:8], "little")
+        header = json.loads(buf[_ARTIFACT_PREFIX:header_end])
+        if header["format"] != COMPILED_FORMAT:
+            return None
+        arrays = {key: header[key] for key in _ARTIFACT_METADATA}
+        arrays.update(format=COMPILED_FORMAT, payload_sha=payload_sha)
+        data_start = header_end + (-header_end % _ARTIFACT_ALIGN)
+        for field in _ARRAY_FIELDS:
+            dtype, shape, offset = header["arrays"][field]
+            # np.frombuffer bounds-checks the extent against the end of
+            # the mapping, but count=-1 silently reads to the end of it
+            # and a negative offset lands in the header, so both are
+            # checked explicitly
+            if (
+                dtype not in _ARTIFACT_DTYPES
+                or not all(type(n) is int and n >= 0 for n in shape)
+                or offset < 0
+            ):
                 return None
-        if str(arrays["payload_sha"]) != payload_checksum(arrays):
-            return None
+            arrays[field] = np.frombuffer(
+                buf,
+                dtype=dtype,
+                count=math.prod(shape),
+                offset=data_start + offset,
+            ).reshape(shape)
         return arrays
-    except (
-        OSError,
-        ValueError,
-        KeyError,
-        IndexError,
-        struct.error,
-        zipfile.BadZipFile,
-    ):
+    except (OSError, ValueError, KeyError, TypeError):
         return None
 
 
-def _compiled_from_arrays(arrays: Mapping[str, np.ndarray]) -> CompiledProblem:
+def _compiled_from_arrays(arrays: Mapping[str, Any]) -> CompiledProblem:
     return CompiledProblem.from_arrays(
         name=str(arrays["problem_name"]),
         attribute_names=[str(a) for a in arrays["attribute_names"]],
@@ -756,8 +701,8 @@ def _compiled_from_arrays(arrays: Mapping[str, np.ndarray]) -> CompiledProblem:
 
 
 def _fresh_artifact(
-    path: Path, mmap_arrays: bool
-) -> Tuple[Optional[Dict[str, np.ndarray]], Path, str]:
+    path: Path,
+) -> Tuple[Optional[Dict[str, Any]], Path, str]:
     """(arrays-if-fresh, npz_path, source_sha) for one workspace file.
 
     The single definition of artifact freshness: the artifact is usable
@@ -766,7 +711,7 @@ def _fresh_artifact(
     """
     npz_path = compiled_array_path(path)
     source_sha = _file_sha256(path)
-    arrays = load_compiled_arrays(npz_path, mmap_arrays=mmap_arrays)
+    arrays = load_compiled_arrays(npz_path)
     if arrays is not None and str(arrays.get("source_sha")) == source_sha:
         return arrays, npz_path, source_sha
     return None, npz_path, source_sha
@@ -792,7 +737,6 @@ def _compile_and_persist(
 def load_compiled_fast(
     path: Union[str, Path],
     refresh: bool = True,
-    mmap_arrays: bool = True,
 ) -> CompiledProblem:
     """Load a workspace's compiled form, via the ``.npz`` artifact.
 
@@ -805,9 +749,7 @@ def load_compiled_fast(
     path; callers needing the object graph parse the JSON explicitly.
     """
     path = Path(path)
-    arrays, npz_path, source_sha = _fresh_artifact(
-        path, mmap_arrays=mmap_arrays
-    )
+    arrays, npz_path, source_sha = _fresh_artifact(path)
     if arrays is not None:
         return _compiled_from_arrays(arrays)
     if refresh:
@@ -840,7 +782,6 @@ def load_compiled_delta(
     path: Union[str, Path],
     old_content_hash: str,
     old_component_json: Optional[str],
-    mmap_arrays: bool = True,
     persist: bool = True,
 ) -> Optional[DeltaLoad]:
     """Delta-compile an edited workspace against its cached artifact.
@@ -870,7 +811,7 @@ def load_compiled_delta(
     ):
         return None
     npz_path = compiled_array_path(path)
-    arrays = load_compiled_arrays(npz_path, mmap_arrays=mmap_arrays)
+    arrays = load_compiled_arrays(npz_path)
     if arrays is None or str(arrays.get("content_hash")) != old_content_hash:
         return None
     try:
@@ -934,11 +875,9 @@ def warm_compiled_cache(paths) -> int:
     written = 0
     for path in paths:
         path = Path(path)
-        # mmap keeps the freshness probe lazy: only the two metadata
-        # strings are touched, no tensor is decompressed or copied.
-        arrays, npz_path, source_sha = _fresh_artifact(
-            path, mmap_arrays=True
-        )
+        # the freshness probe maps the artifact and reads its header;
+        # no tensor is copied
+        arrays, npz_path, source_sha = _fresh_artifact(path)
         if arrays is None:
             _compile_and_persist(path, npz_path, source_sha)
             written += 1

@@ -7,6 +7,9 @@ must treat them as read-only.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.casestudy.corpus import multimedia_registry
@@ -19,6 +22,7 @@ from repro.core.performance import Alternative, PerformanceTable
 from repro.core.problem import DecisionProblem
 from repro.core.scales import MISSING, ContinuousScale, linguistic_0_3
 from repro.core.utility import banded_discrete_utility, linear_utility
+from repro.core import workspace
 from repro.core.weights import WeightSystem
 
 
@@ -117,3 +121,29 @@ def small_problem() -> DecisionProblem:
 @pytest.fixture()
 def small_problem_missing() -> DecisionProblem:
     return make_small_problem(missing_cell=True)
+
+
+def artifact_layout(blob: bytes):
+    """(header dict, data-region start) of a flat compiled artifact."""
+    prefix = workspace._ARTIFACT_PREFIX
+    header_end = prefix + int.from_bytes(blob[prefix - 8:prefix], "little")
+    header = json.loads(blob[prefix:header_end])
+    return header, header_end + (-header_end % workspace._ARTIFACT_ALIGN)
+
+
+def write_artifact(path, header, data: bytes) -> None:
+    """Write ``header`` and ``data`` as a flat compiled artifact.
+
+    The ``payload_sha`` is recomputed, so the file passes the checksum
+    and only the header's own validation stands between it and a load.
+    """
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    header_end = workspace._ARTIFACT_PREFIX + len(raw)
+    body = (
+        len(raw).to_bytes(8, "little")
+        + raw
+        + bytes(-header_end % workspace._ARTIFACT_ALIGN)
+        + data
+    )
+    digest = hashlib.sha256(body).hexdigest().encode("ascii")
+    path.write_bytes(workspace._ARTIFACT_MAGIC + digest + body)

@@ -1,7 +1,7 @@
 """Corruption fixtures: damaged artifacts never damage results.
 
 Each test physically corrupts one persistence layer — the compiled
-``.npz`` artifact, the sqlite registry index, the workspace JSON
+artifact, the sqlite registry index, the workspace JSON
 itself — and asserts the recovery contract: the runtime falls back,
 rebuilds, and the final evaluated results are bit-identical to a run
 that never saw the damage.
@@ -16,7 +16,7 @@ from repro.core.faults import corrupt_sqlite
 from repro.core.index import RegistryIndex
 from repro.core.runtime import BatchOptions, ShardedRunner
 
-from ..conftest import make_small_problem
+from ..conftest import artifact_layout, make_small_problem
 
 
 @pytest.fixture
@@ -72,21 +72,20 @@ class TestCorruptNpzArtifacts:
         assert workspace.load_compiled_arrays(npz) is not None
 
     def test_tampered_array_data_fails_checksum(self, registry):
-        # Rewrite the artifact with one utility silently shifted but the
-        # stored payload_sha left stale — exactly the bit-rot case the
-        # zero-copy mmap path (no zip CRC) cannot see on its own.  The
-        # payload checksum must turn it into an ordinary cache miss.
-        import numpy as np
-
+        # Flip one byte of a utility inside the data region and leave
+        # the stored payload_sha stale — silent bit-rot that a zero-copy
+        # mmap read cannot see on its own.  The payload checksum must
+        # turn it into an ordinary cache miss.
         clean = run_batch(registry)
         npz = self.warm_artifact(registry[2])
-        with np.load(npz, allow_pickle=False) as archive:
-            payload = {name: archive[name].copy() for name in archive.files}
-        payload["u_avg"][0, 0] = 1.0 - payload["u_avg"][0, 0]
-        with open(npz, "wb") as fh:
-            np.savez(fh, **payload)
+        blob = bytearray(npz.read_bytes())
+        header, data_start = artifact_layout(bytes(blob))
+        _, _, offset = header["arrays"]["u_avg"]
+        blob[data_start + offset] ^= 0xFF
+        npz.write_bytes(bytes(blob))
         assert workspace.load_compiled_arrays(npz) is None
         assert run_batch(registry).results == clean.results
+        assert workspace.load_compiled_arrays(npz) is not None
 
 
 class TestCorruptSqliteIndex:

@@ -51,8 +51,8 @@ class TestEvalConfigHash:
         assert eval_config_hash(a) == eval_config_hash(b)
 
     def test_transport_knobs_do_not_matter(self):
-        a = BatchOptions(use_disk_cache=True, mmap=True)
-        b = BatchOptions(use_disk_cache=False, mmap=False)
+        a = BatchOptions(use_disk_cache=True)
+        b = BatchOptions(use_disk_cache=False)
         assert eval_config_hash(a) == eval_config_hash(b)
 
     def test_seed_and_method_ignored_without_simulations(self):

@@ -1,10 +1,13 @@
-"""Tests for the persisted ``.npz`` compile-artifact cache.
+"""Tests for the persisted compiled-artifact cache.
 
-Covers the satellite contract: round-trip equality with JSON-compiled
-arrays, stale-hash invalidation, and concurrent-writer safety.
+Covers round-trip equality with JSON-compiled arrays, stale-hash
+invalidation, header validation, the upgrade from old zip artifacts,
+byte-level determinism and concurrent-writer safety.
 """
 
+import hashlib
 import json
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,7 +16,7 @@ import pytest
 from repro.core import workspace
 from repro.core.engine import BatchEvaluator, CompiledProblem, compile_problem
 
-from ..conftest import make_small_problem
+from ..conftest import artifact_layout, make_small_problem, write_artifact
 
 ARRAY_FIELDS = workspace._ARRAY_FIELDS
 
@@ -74,15 +77,6 @@ class TestRoundTrip:
         assert compiled.n_alternatives == 3
         assert not workspace.compiled_array_path(path).exists()
 
-    def test_non_mmap_load_equal(self, saved_workspace):
-        _, path = saved_workspace
-        workspace.load_compiled_fast(path)
-        npz = workspace.compiled_array_path(path)
-        mmapped = workspace.load_compiled_arrays(npz, mmap_arrays=True)
-        copied = workspace.load_compiled_arrays(npz, mmap_arrays=False)
-        for key in copied:
-            assert np.array_equal(mmapped[key], copied[key]), key
-
 
 class TestStaleHashInvalidation:
     def test_changed_json_recompiles_and_rewrites(self, saved_workspace):
@@ -131,30 +125,33 @@ class TestStaleHashInvalidation:
         assert workspace.load_compiled_arrays(npz) is not None
 
     def test_corrupt_member_offset_is_cache_miss(self, saved_workspace):
-        """A valid central directory pointing at a bad local-header
-        offset (in-place corruption) must read as a miss, not raise."""
+        """A checksummed header whose array offset points past EOF
+        (a writer bug, not bit-rot) must read as a miss, not raise."""
         _, path = saved_workspace
         workspace.load_compiled_fast(path)
         npz = workspace.compiled_array_path(path)
-        blob = bytearray(npz.read_bytes())
-        # point the first central-directory entry's local-header offset
-        # (4 bytes at position 42 of the PK\x01\x02 record) past EOF so
-        # the member read lands outside the mapped buffer
-        entry = blob.find(b"PK\x01\x02")
-        assert entry != -1
-        blob[entry + 42:entry + 46] = (0x7FFFFFFF).to_bytes(4, "little")
-        npz.write_bytes(bytes(blob))
+        blob = npz.read_bytes()
+        header, data_start = artifact_layout(blob)
+        header["arrays"]["u_low"][2] = len(blob)
+        write_artifact(npz, header, blob[data_start:])
         assert workspace.load_compiled_arrays(npz) is None
         compiled = workspace.load_compiled_fast(path)  # heals via JSON
         assert compiled.n_alternatives == 3
+        assert workspace.load_compiled_arrays(npz) is not None
 
     def test_missing_artifact_returns_none(self, tmp_path):
         assert workspace.load_compiled_arrays(tmp_path / "nope.npz") is None
 
-    def test_wrong_format_returns_none(self, tmp_path):
-        target = tmp_path / "bad.npz"
-        np.savez(target, format=np.array("some-other-format/9"))
-        assert workspace.load_compiled_arrays(target) is None
+    def test_wrong_format_returns_none(self, saved_workspace):
+        _, path = saved_workspace
+        workspace.load_compiled_fast(path)
+        npz = workspace.compiled_array_path(path)
+        blob = npz.read_bytes()
+        header, data_start = artifact_layout(blob)
+        header["format"] = "some-other-format/9"
+        write_artifact(npz, header, blob[data_start:])
+        assert npz.read_bytes()[:8] == workspace._ARTIFACT_MAGIC
+        assert workspace.load_compiled_arrays(npz) is None
 
 
 class TestWarmCache:
@@ -253,3 +250,229 @@ class TestConcurrentWriters:
                 assert np.array_equal(
                     getattr(form, field), getattr(reference, field)
                 )
+
+
+def _set_array(field, slot, value):
+    def mutate(header):
+        header["arrays"][field][slot] = value
+        return header
+
+    return mutate
+
+
+def _drop(*keys):
+    def mutate(header):
+        target = header
+        for key in keys[:-1]:
+            target = target[key]
+        del target[keys[-1]]
+        return header
+
+    return mutate
+
+
+#: Header defects that survive the checksum (a writer bug or a crafted
+#: file, not bit-rot).  Each must read as a miss, never raise.
+HEADER_DEFECTS = {
+    "object-dtype": _set_array("u_avg", 0, "|O"),
+    "float32-dtype": _set_array("u_avg", 0, "<f4"),
+    "big-endian-dtype": _set_array("u_avg", 0, ">f8"),
+    "negative-dim": _set_array("u_avg", 1, [-1]),
+    "two-negative-dims": _set_array("u_avg", 1, [-1, -1]),
+    "bool-dim": _set_array("w_avg", 1, [True]),
+    "fractional-dim": _set_array("w_avg", 1, [1.5]),
+    "string-dim": _set_array("w_avg", 1, ["3"]),
+    "shape-not-a-list": _set_array("w_avg", 1, "3"),
+    "negative-offset": _set_array("u_up", 2, -64),
+    "fractional-offset": _set_array("u_up", 2, 0.5),
+    "extent-past-eof": _set_array("key_count", 1, [1 << 20]),
+    "missing-array-field": _drop("arrays", "alt_key"),
+    "missing-metadata": _drop("source_sha"),
+    "not-an-object": lambda header: [header],
+}
+
+
+class TestHeaderValidation:
+    @pytest.mark.parametrize("defect", sorted(HEADER_DEFECTS))
+    def test_checksummed_defect_is_a_miss_and_heals(
+        self, saved_workspace, defect
+    ):
+        problem, path = saved_workspace
+        workspace.load_compiled_fast(path)
+        npz = workspace.compiled_array_path(path)
+        clean = npz.read_bytes()
+        header, data_start = artifact_layout(clean)
+        write_artifact(npz, HEADER_DEFECTS[defect](header), clean[data_start:])
+        assert npz.read_bytes() != clean
+
+        assert workspace.load_compiled_arrays(npz) is None
+        compiled = workspace.load_compiled_fast(path)
+        assert compiled.problem is not None  # recompiled from JSON
+        reference = compile_problem(problem)
+        for field in ARRAY_FIELDS:
+            assert np.array_equal(
+                getattr(compiled, field), getattr(reference, field)
+            ), field
+        assert npz.read_bytes() == clean  # rewritten in place
+
+    def test_write_artifact_helper_mirrors_the_writer(self, saved_workspace):
+        _, path = saved_workspace
+        workspace.load_compiled_fast(path)
+        npz = workspace.compiled_array_path(path)
+        clean = npz.read_bytes()
+        header, data_start = artifact_layout(clean)
+        write_artifact(npz, header, clean[data_start:])
+        assert npz.read_bytes() == clean
+
+
+def _zip_format_checksum(payload):
+    """The ``repro-compiled/2`` payload checksum, as the zip writer did it."""
+    digest = hashlib.sha256()
+    for field in (
+        *ARRAY_FIELDS,
+        "problem_name",
+        "attribute_names",
+        "alternative_names",
+        "source_sha",
+        "content_hash",
+    ):
+        arr = np.ascontiguousarray(payload[field])
+        digest.update(field.encode())
+        digest.update(str(arr.dtype).encode())
+        digest.update(str(arr.shape).encode())
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+def write_zip_artifact(path):
+    """Write a workspace's artifact in the old ``repro-compiled/2`` zip
+    layout: every ``np.savez`` member the zip writer produced."""
+    problem = workspace.load(path)
+    compiled = compile_problem(problem)
+    payload = {
+        field: np.ascontiguousarray(getattr(compiled, field))
+        for field in ARRAY_FIELDS
+    }
+    payload["alt_key"] = payload["alt_key"].astype(np.int64)
+    payload["key_count"] = payload["key_count"].astype(np.int64)
+    payload["problem_name"] = np.array(compiled.name)
+    payload["attribute_names"] = np.array(compiled.attribute_names)
+    payload["alternative_names"] = np.array(compiled.alternative_names)
+    payload["format"] = np.array("repro-compiled/2")
+    payload["source_sha"] = np.array(workspace._file_sha256(path))
+    payload["content_hash"] = np.array(workspace.content_hash(problem))
+    payload["component_json"] = np.array(workspace.component_json(problem))
+    payload["payload_sha"] = np.array(_zip_format_checksum(payload))
+    npz = workspace.compiled_array_path(path)
+    with open(npz, "wb") as fh:
+        np.savez(fh, **payload)
+    return npz
+
+
+class TestUpgradeFromZip:
+    def test_zip_artifact_is_recompiled_and_rewritten(self, saved_workspace):
+        problem, path = saved_workspace
+        npz = write_zip_artifact(path)
+        assert zipfile.is_zipfile(npz)
+        assert workspace.load_compiled_arrays(npz) is None
+
+        compiled = workspace.load_compiled_fast(path)
+        assert compiled.problem is not None  # recompiled from JSON
+        arrays = workspace.load_compiled_arrays(npz)
+        assert arrays["format"] == "repro-compiled/3"
+        assert npz.read_bytes()[:8] == workspace._ARTIFACT_MAGIC
+        reference = compile_problem(problem)
+        for field in ARRAY_FIELDS:
+            assert np.array_equal(arrays[field], getattr(reference, field))
+        assert sorted(p.name for p in path.parent.iterdir()) == [
+            "ws.json",
+            "ws.npz",
+        ]
+
+    def test_batch_over_zip_registry_matches_clean_run(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.core import genreg
+
+        registry = tmp_path / "registry"
+        paths = genreg.write_registry(
+            genreg.preset("default", seed=0, n_workspaces=6), registry
+        )
+        argv = ["batch", "--workers", "1", "--no-cache", str(registry)]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+
+        for path in paths:
+            write_zip_artifact(path)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == clean
+        for path in paths:
+            arrays = workspace.load_compiled_arrays(
+                workspace.compiled_array_path(path)
+            )
+            assert arrays["format"] == "repro-compiled/3"
+        assert main(argv) == 0  # and the upgraded artifacts serve warm
+        assert capsys.readouterr().out == clean
+
+
+def _determinism_cases():
+    from repro.casestudy.problem import multimedia_problem
+    from repro.core import genreg
+
+    yield pytest.param(multimedia_problem, id="case-study")
+    for name in sorted(genreg.PRESETS):
+        if name == "stress-10k":
+            continue
+        for index in range(8):
+            yield pytest.param(
+                lambda n=name, i=index: genreg.generate_problem(
+                    genreg.PRESETS[n], i
+                ),
+                id=f"{name}-{index}",
+            )
+
+
+class TestDeterminism:
+    def test_equal_content_writes_identical_bytes(self, saved_workspace):
+        problem, path = saved_workspace
+        sha = workspace._file_sha256(path)
+        semantic = workspace.content_hash(problem)
+        components = workspace.component_json(problem)
+        blobs = []
+        for name in ("a.npz", "b.npz"):
+            target = path.parent / name
+            workspace.save_compiled_arrays(
+                compile_problem(problem), target, sha, semantic, components
+            )
+            blobs.append(target.read_bytes())
+        # a form rebuilt from the artifact's own views writes it back
+        loaded = workspace._compiled_from_arrays(
+            workspace.load_compiled_arrays(path.parent / "a.npz")
+        )
+        target = path.parent / "c.npz"
+        workspace.save_compiled_arrays(
+            loaded, target, sha, semantic, components
+        )
+        blobs.append(target.read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    @pytest.mark.parametrize("build", list(_determinism_cases()))
+    def test_round_trip_matches_compile(self, tmp_path, build):
+        reference = compile_problem(build())
+        npz = tmp_path / "ws.npz"
+        workspace.save_compiled_arrays(reference, npz, "0" * 64, "1" * 64)
+        first = npz.read_bytes()
+        workspace.save_compiled_arrays(
+            compile_problem(build()), npz, "0" * 64, "1" * 64
+        )
+        assert npz.read_bytes() == first
+        arrays = workspace.load_compiled_arrays(npz)
+        for field in ARRAY_FIELDS:
+            expected = getattr(reference, field)
+            assert arrays[field].dtype == expected.dtype, field
+            assert arrays[field].shape == expected.shape, field
+            assert np.array_equal(arrays[field], expected), field
+        assert arrays["problem_name"] == reference.name
+        assert arrays["attribute_names"] == list(reference.attribute_names)
+        assert arrays["alternative_names"] == list(
+            reference.alternative_names
+        )
