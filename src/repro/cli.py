@@ -262,8 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help=(
-            "print a per-stage wall-time breakdown after the table; "
-            "implies the sharded runtime"
+            "print a per-stage wall-time breakdown after the table "
+            "(with --follow: one stage line per cycle); implies the "
+            "sharded runtime"
         ),
     )
 
@@ -995,6 +996,7 @@ def _cmd_batch_follow(
     interval: float,
     cycles: Optional[int],
     group_spec=None,
+    stats: bool = False,
 ) -> int:
     """``repro batch --follow``: keep a registry continuously evaluated.
 
@@ -1004,7 +1006,9 @@ def _cmd_batch_follow(
     with one ``stat`` against the registry index, absorbs edits through
     delta compilation where the problem structure held, and prints one
     delta report line per cycle.  Runs until interrupted unless
-    ``--cycles`` bounds it.
+    ``--cycles`` bounds it.  With ``--stats`` each cycle runs under a
+    fresh tracer and its report line is followed by one line of
+    per-stage wall seconds.
     """
     from .core.index import DEFAULT_INDEX_FILENAME
     from .core.runtime import (
@@ -1040,6 +1044,8 @@ def _cmd_batch_follow(
             "changes between cycles"
         )
 
+    from .obs import trace as obs_trace
+
     def _report(cycle: WatchCycle) -> None:
         print(
             f"cycle {cycle.cycle}: {cycle.n_paths} workspace(s): "
@@ -1047,7 +1053,23 @@ def _cmd_batch_follow(
             f"{cycle.n_cached} cached, {cycle.n_skipped} skipped",
             flush=True,
         )
+        if stats:
+            stages = sorted(
+                cycle.report.stage_seconds, key=lambda kv: (-kv[1], kv[0])
+            )
+            print(
+                f"cycle {cycle.cycle} stages: "
+                + (
+                    ", ".join(f"{name} {secs:.3f}s" for name, secs in stages)
+                    or "none recorded"
+                ),
+                flush=True,
+            )
+            # a fresh tracer per cycle keeps a long follow's memory flat
+            obs_trace.install(obs_trace.Tracer())
 
+    if stats:
+        obs_trace.install(obs_trace.Tracer())
     try:
         with index:
             runner.watch(
@@ -1059,6 +1081,9 @@ def _cmd_batch_follow(
             )
     except KeyboardInterrupt:
         print("stopped", flush=True)
+    finally:
+        if stats:
+            obs_trace.uninstall()
     return 0
 
 
@@ -1654,10 +1679,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         "batch --follow conflicts with --no-cache: follow "
                         "mode needs the registry index to detect changes"
                     )
-                if args.trace_path or args.stats:
+                if args.trace_path:
                     raise SystemExit(
-                        "batch --follow conflicts with --trace/--stats: "
-                        "trace a single run instead"
+                        "batch --follow conflicts with --trace: trace a "
+                        "single run instead"
                     )
                 if args.refresh:
                     raise SystemExit(
@@ -1681,6 +1706,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     args.interval,
                     args.cycles,
                     group_spec=group_spec,
+                    stats=args.stats,
                 )
             registry_mode = (
                 args.workers is not None

@@ -22,9 +22,15 @@ Freshness is a three-step ladder, cheapest first: a matching stat
 fingerprint (``mtime_ns`` + ``size`` + ``ctime_ns``) trusts the stored
 hashes without reading the file; a matching ``source_sha`` (file
 re-read, e.g. after ``touch``) keeps the stored content hash;
-otherwise the workspace JSON is parsed and re-hashed.  Results are
-valid per content hash, so every one of those steps ends at the same
-cache key.
+otherwise a new identity is derived — from a fresh artifact's header,
+or by one :func:`repro.core.workspace.ingest` pass.
+:meth:`RegistryIndex.examine` walks the ladder up to that last step
+and :meth:`RegistryIndex.derive` takes it, so a caller may derive
+elsewhere: the batch runner lets the pool worker that compiles a new,
+artifact-free workspace ingest it, and completes the row from the
+identity it ships home (:meth:`RegistryIndex.fingerprint`).
+Results are valid per content hash, so every one of those steps ends
+at the same cache key.
 
 Two hardenings close the classic stat-cache staleness hole (an edit
 that preserves ``mtime`` and ``size``, e.g. ``cp -p``, ``git
@@ -93,6 +99,7 @@ __all__ = [
     "IndexedWorkspace",
     "CachedResult",
     "QuarantinedWorkspace",
+    "ProbeEvidence",
     "RegistryIndex",
 ]
 
@@ -353,6 +360,28 @@ class QuarantinedWorkspace:
     last_error: str
     source_sha: str
     quarantined_ns: int
+
+
+@dataclass(frozen=True)
+class ProbeEvidence:
+    """What the freshness ladder knew when it stopped short of deriving.
+
+    Returned by :meth:`RegistryIndex.examine` for a workspace whose
+    stored hashes cannot be trusted, and consumed by
+    :meth:`RegistryIndex.derive`.  ``st`` is the stat taken at the top
+    of the ladder (the row's stat triple, whoever derives the
+    identity); ``stored`` the previous row (``None`` for a new path);
+    ``arrays`` the fresh compiled-artifact payload (``None`` when the
+    artifact is absent or stale); ``source`` the ``(raw bytes,
+    sha256)`` already read (``None`` when there was no stored row or
+    artifact to check them against).
+    """
+
+    path: str
+    st: os.stat_result
+    stored: Optional[IndexedWorkspace]
+    arrays: Optional[Mapping[str, object]]
+    source: Optional[Tuple[bytes, str]]
 
 
 _LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError)
@@ -685,68 +714,150 @@ class RegistryIndex:
         """
         return self._stored(self._key(path))
 
-    def _derive(
-        self,
-        key: str,
+    @staticmethod
+    def fingerprint(
+        path: Union[str, Path],
         st: os.stat_result,
-        arrays,
-        npz_path: Path,
-        source_sha: str,
-        warm_artifact: bool,
-    ) -> Optional[IndexedWorkspace]:
-        """Fingerprint a new/changed workspace from the probe's evidence.
+        identity: _workspace.Identity,
+        npz_source_sha: Optional[str] = None,
+    ) -> IndexedWorkspace:
+        """The row for a workspace whose content identity is known.
 
-        ``arrays`` is the fresh-artifact payload from
-        :func:`repro.core.workspace._fresh_artifact` (the single
-        definition of ``.npz`` freshness) — when present, the content
-        hash and shape signature come straight out of the artifact
-        metadata with no JSON parse.  Otherwise the workspace JSON is
-        parsed; with ``warm_artifact`` the compiled arrays are also
-        (re)persisted so the next batch run's workers mmap them.
+        The stat triple comes from ``st`` (taken *before* the identity
+        was derived, so a later edit shows as a stat mismatch), the
+        hashes and shape from ``identity`` — whether an artifact header,
+        an :func:`~repro.core.workspace.ingest` in this process, or a
+        pool worker supplied it.
         """
-        if arrays is not None:
-            n_alternatives, n_attributes = arrays["u_avg"].shape
-            content = str(arrays.get("content_hash"))
-            npz_sha = source_sha
-            raw_components = arrays.get("component_json")
-            components = (
-                str(raw_components) if raw_components is not None else None
-            )
-        else:
-            try:
-                problem = _workspace.load(Path(key))
-            except _LOAD_ERRORS:
-                return None
-            content = _workspace.content_hash(problem)
-            components = _workspace.component_json(problem)
-            if warm_artifact:
-                compiled = compile_problem(problem)
-                _workspace.save_compiled_arrays(
-                    compiled,
-                    npz_path,
-                    source_sha,
-                    content,
-                    component_json=components,
-                )
-                n_alternatives = compiled.n_alternatives
-                n_attributes = compiled.n_attributes
-                npz_sha = source_sha
-            else:
-                n_alternatives = len(problem.alternative_names)
-                n_attributes = len(problem.attribute_names)
-                npz_sha = None
         return IndexedWorkspace(
-            path=key,
+            path=RegistryIndex._key(path),
             mtime_ns=st.st_mtime_ns,
             size=st.st_size,
-            source_sha=source_sha,
-            content_hash=content,
-            npz_source_sha=npz_sha,
-            n_alternatives=int(n_alternatives),
-            n_attributes=int(n_attributes),
+            source_sha=identity.source_sha,
+            content_hash=identity.content_hash,
+            npz_source_sha=npz_source_sha,
+            n_alternatives=identity.n_alternatives,
+            n_attributes=identity.n_attributes,
             ctime_ns=st.st_ctime_ns,
-            component_json=components,
+            component_json=identity.component_json,
         )
+
+    def derive(
+        self, evidence: "ProbeEvidence", warm_artifact: bool = False
+    ) -> Tuple[Optional[IndexedWorkspace], Optional[_workspace.Ingested]]:
+        """Fingerprint a new/changed workspace from the ladder's evidence.
+
+        A fresh artifact (``evidence.arrays``) supplies the hashes and
+        shape from its header with no JSON parse.  Otherwise the
+        workspace is ingested once
+        (:func:`~repro.core.workspace.ingest`, reusing the bytes the
+        ladder read); with ``warm_artifact`` the compiled arrays are
+        also (re)persisted so the next batch run's workers mmap them.
+        Returns ``(record, ingested)``: ``ingested`` is the parsed
+        bundle when one was needed (``None`` from an artifact), so the
+        caller can delta-compile without reading the file again;
+        ``record`` is ``None`` when the file is unreadable.
+        """
+        if evidence.arrays is not None:
+            identity = _workspace._artifact_identity(evidence.arrays)
+            return (
+                self.fingerprint(
+                    evidence.path,
+                    evidence.st,
+                    identity,
+                    npz_source_sha=identity.source_sha,
+                ),
+                None,
+            )
+        try:
+            ingested = _workspace.ingest(evidence.path, evidence.source)
+        except _LOAD_ERRORS:
+            return None, None
+        npz_sha = None
+        if warm_artifact:
+            _workspace.save_compiled_arrays(
+                compile_problem(ingested.problem),
+                _workspace.compiled_array_path(evidence.path),
+                ingested.source_sha,
+                ingested.content_hash,
+                component_json=ingested.component_json,
+            )
+            npz_sha = ingested.source_sha
+        record = self.fingerprint(
+            evidence.path, evidence.st, ingested.identity, npz_sha
+        )
+        return record, ingested
+
+    def examine(
+        self, path: Union[str, Path]
+    ) -> Tuple[Optional[IndexedWorkspace], str, Optional["ProbeEvidence"]]:
+        """Walk the freshness ladder up to, not into, derivation.
+
+        Returns ``(record, status, evidence)``.  For ``"fresh"`` and
+        ``"touched"`` the stored row settles it: ``record`` is set and
+        ``evidence`` is ``None``.  For ``"new"`` and ``"changed"`` the
+        stored hashes cannot be trusted: ``record`` is ``None`` and
+        ``evidence`` carries what the ladder learned, for :meth:`derive`
+        — or for a caller that derives the identity elsewhere (the
+        batch runner hands a new, artifact-free workspace to the worker
+        that compiles it).  ``"error"`` (file missing or unreadable)
+        sets neither.  Read-only.
+        """
+        key = self._key(path)
+        try:
+            st = os.stat(key)
+        except OSError:
+            return None, "error", None
+        stored = self._stored(key)
+        stat_match = (
+            stored is not None
+            and stored.mtime_ns == st.st_mtime_ns
+            and stored.size == st.st_size
+            and stored.ctime_ns == st.st_ctime_ns
+        )
+        if stat_match:
+            if not self._needs_byte_check(stored, st):
+                return stored, "fresh", None
+            # Recording-window byte check: only the raw-byte sha is in
+            # question (the stat pair is current), so skip the artifact
+            # probe entirely on the happy path.
+            try:
+                if _workspace._file_sha256(Path(key)) == stored.source_sha:
+                    return stored, "fresh", None
+            except OSError:
+                return None, "error", None
+        try:
+            # One call supplies the fresh-or-None artifact payload under
+            # workspace.py's single freshness definition, plus the bytes
+            # it read to decide; a stored row needs them regardless.
+            arrays, _, source = _workspace._fresh_artifact(Path(key))
+            if source is None and stored is not None:
+                source = _workspace._read_source(key)
+        except OSError:
+            return None, "error", None
+        if stored is not None and stored.source_sha == source[1]:
+            if stat_match:
+                # recording-window byte check passed: the stat pair was
+                # already current, nothing to persist
+                return stored, "fresh", None
+            return (
+                replace(
+                    stored,
+                    mtime_ns=st.st_mtime_ns,
+                    size=st.st_size,
+                    ctime_ns=st.st_ctime_ns,
+                ),
+                "touched",
+                None,
+            )
+        evidence = ProbeEvidence(
+            path=key,
+            st=st,
+            stored=stored,
+            arrays=arrays,
+            source=source,
+        )
+        return None, ("changed" if stored is not None else "new"), evidence
 
     def _probe(
         self, path: Union[str, Path], warm_artifact: bool = False
@@ -758,58 +869,12 @@ class RegistryIndex:
         (content re-hashed), ``"new"`` (no stored row) or ``"error"``
         (unreadable/unparseable — record is ``None``).
         """
-        key = self._key(path)
-        try:
-            st = os.stat(key)
-        except OSError:
-            return None, "error"
-        stored = self._stored(key)
-        stat_match = (
-            stored is not None
-            and stored.mtime_ns == st.st_mtime_ns
-            and stored.size == st.st_size
-            and stored.ctime_ns == st.st_ctime_ns
-        )
-        if stat_match:
-            if not self._needs_byte_check(stored, st):
-                return stored, "fresh"
-            # Recording-window byte check: only the raw-byte sha is in
-            # question (the stat pair is current), so skip the artifact
-            # probe entirely on the happy path.
-            try:
-                if _workspace._file_sha256(Path(key)) == stored.source_sha:
-                    return stored, "fresh"
-            except OSError:
+        record, status, evidence = self.examine(path)
+        if evidence is not None:
+            record, _ = self.derive(evidence, warm_artifact)
+            if record is None:
                 return None, "error"
-        try:
-            # One call supplies the raw-byte sha *and* the fresh-or-None
-            # artifact payload, under workspace.py's single freshness
-            # definition.
-            arrays, npz_path, source_sha = _workspace._fresh_artifact(
-                Path(key)
-            )
-        except OSError:
-            return None, "error"
-        if stored is not None and stored.source_sha == source_sha:
-            if stat_match:
-                # recording-window byte check passed: the stat pair was
-                # already current, nothing to persist
-                return stored, "fresh"
-            return (
-                replace(
-                    stored,
-                    mtime_ns=st.st_mtime_ns,
-                    size=st.st_size,
-                    ctime_ns=st.st_ctime_ns,
-                ),
-                "touched",
-            )
-        record = self._derive(
-            key, st, arrays, npz_path, source_sha, warm_artifact
-        )
-        if record is None:
-            return None, "error"
-        return record, ("changed" if stored is not None else "new")
+        return record, status
 
     @staticmethod
     def needs_restamp(stored: "IndexedWorkspace") -> bool:

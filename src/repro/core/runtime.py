@@ -31,8 +31,13 @@ evaluation configuration already have rows in the index skip
 compilation *and* evaluation entirely, and the merged report (still
 byte-identical) marks how many entries were served from cache
 (:attr:`RegistryReport.n_cached`).  Only the main process touches the
-index: probing happens before the fan-out, and fresh results are
-persisted in one single-writer transaction after the fan-in.
+index.  Before the fan-out it classifies every entry: stored and
+artifact-backed identities are probed there, but a new workspace with
+no fresh artifact goes straight to the pool, whose single ingest pass
+(parse, hash, lower, artifact write) ships the identity home with the
+chunk's results.  After the fan-in the main process completes those
+fingerprints, serves known content from cache, and persists everything
+in one single-writer transaction.
 """
 
 from __future__ import annotations
@@ -46,7 +51,16 @@ from concurrent.futures import ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    AbstractSet,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -72,6 +86,7 @@ __all__ = [
     "WatchCycle",
     "ShardedRunner",
     "shard_registry",
+    "ChunkOutcome",
     "evaluate_registry_chunk",
     "expand_registry_source",
 ]
@@ -381,23 +396,37 @@ def shard_registry(
 # ----------------------------------------------------------------------
 
 def _load_chunk_problems(
-    chunk: Sequence[Tuple[int, str]], options: BatchOptions
+    chunk: Sequence[Tuple[int, str]],
+    options: BatchOptions,
+    identify: AbstractSet[int] = frozenset(),
 ):
-    """((index, sub_index, path, compiled, roster) list, skipped list).
+    """((index, sub_index, path, compiled, roster) list, skipped list,
+    identities).
 
     ``roster`` is the workspace's
     :class:`~repro.core.engine.CompiledRoster` when ``options.group``
     carries a member spec (resolved against the workspace's own
-    hierarchy) and ``None`` otherwise.
+    hierarchy) and ``None`` otherwise.  ``identities`` maps every
+    registry index in ``identify`` that loaded to its
+    :class:`~repro.core.workspace.Identity`, read off the artifact or
+    derived by the one :func:`~repro.core.workspace.ingest` that parsed
+    the file.
     """
     from . import workspace
 
+    def parse(index: int, path: str):
+        if index in identify:
+            ingested = workspace.ingest(path)
+            return ingested.problem, ingested.identity
+        return workspace.load(path), None
+
     loaded = []
     skipped: List[SkippedWorkspace] = []
+    identities: Dict[int, "workspace.Identity"] = {}
     for index, path in chunk:
         try:
             if options.objectives:
-                problem = workspace.load(path)
+                problem, identity = parse(index, path)
                 # Build the whole expansion before publishing any of it,
                 # so a workspace never ends up both evaluated (partial
                 # rows) and skipped when a restriction fails to compile.
@@ -424,7 +453,7 @@ def _load_chunk_problems(
                 # group runs parse the object graph like `objectives`;
                 # structurally identical hierarchies share one resolved
                 # roster through the group module's LRU.
-                problem = workspace.load(path)
+                problem, identity = parse(index, path)
                 roster = compiled_roster_for(
                     options.group, problem.hierarchy
                 )
@@ -432,13 +461,17 @@ def _load_chunk_problems(
                     (index, 0, path, compile_problem(problem), roster)
                 )
             elif options.use_disk_cache:
-                compiled = workspace.load_compiled_fast(
+                compiled, identity = workspace.load_compiled_with_identity(
                     path, refresh=options.refresh_cache
                 )
                 loaded.append((index, 0, path, compiled, None))
             else:
-                compiled = compile_problem(workspace.load(path))
-                loaded.append((index, 0, path, compiled, None))
+                problem, identity = parse(index, path)
+                loaded.append(
+                    (index, 0, path, compile_problem(problem), None)
+                )
+            if index in identify:
+                identities[index] = identity
         except (OSError, ValueError, KeyError, TypeError) as exc:
             skipped.append(
                 SkippedWorkspace(
@@ -447,7 +480,7 @@ def _load_chunk_problems(
                     error=f"{type(exc).__name__}: {exc}",
                 )
             )
-    return loaded, skipped
+    return loaded, skipped, identities
 
 
 def _stacked_mc_summary(ranks) -> Tuple["object", "object"]:
@@ -475,24 +508,42 @@ def _chunk_key(chunk: Sequence[Tuple[int, str]]) -> str:
     return f"chunk:{chunk[0][0]}:{chunk[-1][0]}"
 
 
+class ChunkOutcome(NamedTuple):
+    """What :func:`evaluate_registry_chunk` returns for one chunk.
+
+    ``identities`` maps each requested registry index that loaded to
+    its :class:`~repro.core.workspace.Identity`; ``spans`` are the
+    worker-side span payloads to stitch into the parent trace.
+    """
+
+    results: List[WorkspaceResult]
+    skipped: List[SkippedWorkspace]
+    n_stacks: int
+    identities: Dict[int, object]
+    spans: List[Dict[str, object]]
+
+
 def evaluate_registry_chunk(
     chunk: Sequence[Tuple[int, str]],
     options: BatchOptions,
     attempt: int = 0,
     in_worker: bool = False,
-) -> Tuple[
-    List[WorkspaceResult],
-    List[SkippedWorkspace],
-    int,
-    List[Dict[str, object]],
-]:
+    identify: AbstractSet[int] = frozenset(),
+) -> ChunkOutcome:
     """Evaluate one chunk of ``(registry_index, path)`` pairs.
 
     Loads every workspace (``.npz`` fast path unless the options need
     the object graph), stacks same-shape compiled problems and
-    evaluates each stack in one array program.  Returns
-    ``(results, skipped, n_stacks, spans)``; results carry registry
-    indices so the caller can merge shards deterministically.
+    evaluates each stack in one array program.  Returns a
+    :class:`ChunkOutcome`; results carry registry indices so the caller
+    can merge shards deterministically.
+
+    ``identify`` names the registry indices whose content identity the
+    caller has not derived (the runner defers new, artifact-free
+    workspaces to the pool): their
+    :class:`~repro.core.workspace.Identity` comes back in
+    ``identities``, derived by the same single ingest that compiles
+    them.
 
     ``spans`` ships worker-side telemetry home: with ``options.trace``
     set and no tracer installed in this process (the worker case), a
@@ -531,7 +582,9 @@ def evaluate_registry_chunk(
             worker=in_worker,
         ):
             with _stage("workspace.load", n=len(chunk)):
-                loaded, skipped = _load_chunk_problems(chunk, options)
+                loaded, skipped, identities = _load_chunk_problems(
+                    chunk, options, identify
+                )
             if loaded:
                 results, n_stacks = _evaluate_loaded(loaded, options)
             else:
@@ -546,7 +599,7 @@ def evaluate_registry_chunk(
         if tracer is not None
         else []
     )
-    return results, skipped, n_stacks, payloads
+    return ChunkOutcome(results, skipped, n_stacks, identities, payloads)
 
 
 def _evaluate_loaded(
@@ -624,6 +677,30 @@ def _evaluate_loaded(
                 )
             )
     return results, len(stacks)
+
+
+def _from_cached(
+    index: int, path: str, rows: Sequence[object]
+) -> List[WorkspaceResult]:
+    """Cached index rows re-applied to one registry entry."""
+    return [
+        WorkspaceResult(
+            index=index,
+            sub_index=row.sub_index,
+            path=path,
+            name=row.name,
+            n_alternatives=row.n_alternatives,
+            n_attributes=row.n_attributes,
+            best_name=row.best_name,
+            best_minimum=row.best_minimum,
+            best_average=row.best_average,
+            best_maximum=row.best_maximum,
+            ever_best=row.ever_best,
+            top5_fluctuation=row.top5_fluctuation,
+            group_json=row.group_json,
+        )
+        for row in rows
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -728,6 +805,8 @@ class ShardedRunner:
         to_evaluate = indexed
         delta_loaded: List[tuple] = []
         records: Dict[str, object] = {}
+        # registry index -> the stat taken when its probe was deferred
+        deferred: Dict[int, os.stat_result] = {}
         config_hash = None
         n_cached = 0
         if index is not None:
@@ -752,7 +831,19 @@ class ShardedRunner:
             to_evaluate = []
             with _stage("index.probe", entries=len(active)):
                 for i, path in active:
-                    record, status = index.probe_with_status(path)
+                    record, status, evidence = index.examine(path)
+                    ingested = None
+                    if evidence is not None:
+                        if evidence.stored is None and evidence.arrays is None:
+                            # Nothing stored and nothing compiled to
+                            # reuse: the worker that compiles it derives
+                            # the fingerprint from its one ingest, and
+                            # the merge completes the row.
+                            deferred[i] = evidence.st
+                            pending.append((i, path))
+                            to_evaluate.append((i, path))
+                            continue
+                        record, ingested = index.derive(evidence)
                     if record is not None:
                         records[path] = record
                     rows = None
@@ -762,22 +853,22 @@ class ShardedRunner:
                         )
                     if rows is None:
                         pending.append((i, path))
-                        if delta_ok and status == "changed":
-                            old = index.lookup_workspace(path)
-                            delta = (
-                                _workspace.load_compiled_delta(
-                                    path,
-                                    old.content_hash,
-                                    old.component_json,
-                                )
-                                if old is not None and old.component_json
-                                else None
+                        old = evidence.stored if evidence else None
+                        if (
+                            delta_ok
+                            and ingested is not None
+                            and old is not None
+                            and old.component_json
+                        ):
+                            # Patch from the bundle the probe ingested:
+                            # no second read, parse or hash.
+                            delta = _workspace.load_compiled_delta(
+                                path,
+                                old.content_hash,
+                                old.component_json,
+                                ingested=ingested,
                             )
-                            if (
-                                delta is not None
-                                and delta.content_hash
-                                == record.content_hash
-                            ):
+                            if delta is not None:
                                 delta_loaded.append(
                                     (i, 0, path, delta.compiled, None)
                                 )
@@ -793,24 +884,7 @@ class ShardedRunner:
                         # the row again would only force a WAL
                         # checkpoint.
                         del records[path]
-                    cached_results.extend(
-                        WorkspaceResult(
-                            index=i,
-                            sub_index=row.sub_index,
-                            path=path,
-                            name=row.name,
-                            n_alternatives=row.n_alternatives,
-                            n_attributes=row.n_attributes,
-                            best_name=row.best_name,
-                            best_minimum=row.best_minimum,
-                            best_average=row.best_average,
-                            best_maximum=row.best_maximum,
-                            ever_best=row.ever_best,
-                            top5_fluctuation=row.top5_fluctuation,
-                            group_json=row.group_json,
-                        )
-                        for row in rows
-                    )
+                    cached_results.extend(_from_cached(i, path, rows))
 
         chunk_ranges = shard_registry(
             len(to_evaluate), self.workers, self.chunk_size
@@ -823,6 +897,8 @@ class ShardedRunner:
 
         results: List[WorkspaceResult] = []
         skipped: List[SkippedWorkspace] = []
+        identities: Dict[int, object] = {}
+        identify = frozenset(deferred)
         n_stacks = 0
         if delta_loaded:
             # The sliced re-evaluation: only the delta-compiled members
@@ -841,12 +917,22 @@ class ShardedRunner:
             # In-process: spans record straight into any installed
             # tracer, so the shipped-payload slot is always empty here.
             for chunk in chunks:
-                r, s, k, _ = evaluate_registry_chunk(chunk, self.options)
-                results.extend(r)
-                skipped.extend(s)
-                n_stacks += k
+                outcome = evaluate_registry_chunk(
+                    chunk, self.options, identify=identify
+                )
+                results.extend(outcome.results)
+                skipped.extend(outcome.skipped)
+                n_stacks += outcome.n_stacks
+                identities.update(outcome.identities)
         else:
-            r, s, k, n_retried, newly_quarantined = self._fan_out(chunks)
+            (
+                r,
+                s,
+                k,
+                identities,
+                n_retried,
+                newly_quarantined,
+            ) = self._fan_out(chunks, identify)
             results.extend(r)
             skipped.extend(s)
             n_stacks += k
@@ -858,6 +944,34 @@ class ShardedRunner:
                     for q in newly_quarantined
                 )
             with _stage("index.commit", entries=len(records)):
+                # A deferred entry's row is the identity its chunk
+                # shipped home plus the stat taken before dispatch, so
+                # _persist_run's re-stat guard still catches an edit made
+                # during the run; an entry that was skipped, or whose
+                # chunk never completed, records nothing.  Then the
+                # content lookup its probe skipped: known content that
+                # arrived without its artifact (a copy, a rename) is
+                # reported from cache, as a probe-time hit would have
+                # been, and its fresh evaluation dropped.
+                hits = set()
+                for i, st in deferred.items():
+                    identity = identities.get(i)
+                    if identity is None:
+                        continue
+                    path = indexed[i][1]
+                    record = index.fingerprint(path, st, identity)
+                    records[path] = record
+                    rows = None
+                    if not refresh:
+                        rows = index.lookup_results(
+                            record.content_hash, config_hash
+                        )
+                    if rows is not None:
+                        hits.add(i)
+                        cached_results.extend(_from_cached(i, path, rows))
+                if hits:
+                    results = [r for r in results if r.index not in hits]
+                    n_cached += len(hits)
                 self._persist_run(
                     index, config_hash, records, pending, results
                 )
@@ -953,11 +1067,14 @@ class ShardedRunner:
         return active, quarantine_skipped
 
     def _fan_out(
-        self, chunks: List[List[Tuple[int, str]]]
+        self,
+        chunks: List[List[Tuple[int, str]]],
+        identify: AbstractSet[int] = frozenset(),
     ) -> Tuple[
         List[WorkspaceResult],
         List[SkippedWorkspace],
         int,
+        Dict[int, object],
         int,
         List[SkippedWorkspace],
     ]:
@@ -982,7 +1099,9 @@ class ShardedRunner:
         chunks, which still corners a chunk that deterministically
         kills its worker — once it is all that remains, every round is
         progress-free and it accumulates strikes until quarantine.
-        Returns ``(results, skipped, n_stacks, n_retried, quarantined)``.
+        Returns ``(results, skipped, n_stacks, identities, n_retried,
+        quarantined)``; ``identities`` holds the shipped identities of
+        the ``identify`` entries whose chunk completed.
 
         Tracing: when a tracer is installed in this (parent) process,
         chunks dispatch with ``options.trace`` forced on, workers ship
@@ -1007,6 +1126,7 @@ class ShardedRunner:
         fan_span_id: Optional[str] = None
         results: List[WorkspaceResult] = []
         skipped: List[SkippedWorkspace] = []
+        identities: Dict[int, object] = {}
         n_stacks = 0
         n_retried = 0
         quarantined: List[SkippedWorkspace] = []
@@ -1034,6 +1154,7 @@ class ShardedRunner:
                             options,
                             attempt,
                             True,
+                            identify,
                         ): (chunk, attempt)
                         for chunk, attempt in batch
                     }
@@ -1069,7 +1190,7 @@ class ShardedRunner:
                         for future in done:
                             chunk, attempt = futures[future]
                             try:
-                                r, s, k, spans = future.result()
+                                outcome = future.result()
                             except Exception as exc:
                                 failed.append(
                                     (
@@ -1079,15 +1200,16 @@ class ShardedRunner:
                                     )
                                 )
                                 continue
-                            results.extend(r)
-                            skipped.extend(s)
-                            n_stacks += k
-                            if spans:
+                            results.extend(outcome.results)
+                            skipped.extend(outcome.skipped)
+                            n_stacks += outcome.n_stacks
+                            identities.update(outcome.identities)
+                            if outcome.spans:
                                 payload_batches.append(
                                     (
                                         chunk[0][0] if chunk else -1,
                                         attempt,
-                                        spans,
+                                        outcome.spans,
                                     )
                                 )
                             progressed = True
@@ -1142,7 +1264,7 @@ class ShardedRunner:
                 payload_batches, key=lambda item: (item[0], item[1])
             ):
                 tracer.adopt(batch, parent_id=fan_span_id)
-        return results, skipped, n_stacks, n_retried, quarantined
+        return results, skipped, n_stacks, identities, n_retried, quarantined
 
     @staticmethod
     def _persist_run(

@@ -8,7 +8,11 @@ a single JSON document and restores it losslessly, so an analysis can
 be saved, shared and re-opened exactly like a ``.gmaa`` file.
 
 The format is versioned (``"format": "repro-workspace/1"``); loaders
-reject unknown versions instead of guessing.
+reject unknown versions instead of guessing.  :func:`ingest` is the
+one cold read: the bytes once (their sha256 is ``source_sha``), one
+parse, and one :func:`to_dict` for the semantic ``content_hash`` and
+the per-component table — the keys of every index row and compiled
+artifact.
 
 Two compile-cache layers also live here (see ``docs/caching.md``): an
 in-process LRU keyed by the canonical workspace JSON
@@ -49,6 +53,9 @@ __all__ = [
     "from_dict",
     "save",
     "load",
+    "Identity",
+    "Ingested",
+    "ingest",
     "FORMAT",
     "COMPILED_FORMAT",
     "canonical_key",
@@ -61,6 +68,7 @@ __all__ = [
     "save_compiled_arrays",
     "load_compiled_arrays",
     "load_compiled_fast",
+    "load_compiled_with_identity",
     "warm_compiled_cache",
     "component_hashes",
     "component_json",
@@ -292,9 +300,17 @@ def save(problem: DecisionProblem, path: Union[str, Path]) -> None:
     path.write_text(json.dumps(to_dict(problem), indent=2, sort_keys=True))
 
 
-def load(path: Union[str, Path]) -> DecisionProblem:
-    """Read a workspace JSON written by :func:`save`."""
-    return from_dict(json.loads(Path(path).read_text()))
+def load(
+    path: Union[str, Path], raw: Optional[bytes] = None
+) -> DecisionProblem:
+    """Read a workspace JSON written by :func:`save`.
+
+    ``raw`` supplies the file's bytes when the caller already read them
+    (:func:`ingest` does, so the bytes it hashes are the bytes parsed).
+    """
+    if raw is None:
+        raw = Path(path).read_bytes()
+    return from_dict(json.loads(raw))
 
 
 # ----------------------------------------------------------------------
@@ -315,9 +331,14 @@ _compile_hits = 0
 _compile_misses = 0
 
 
+def _canonical(payload: Any) -> str:
+    """Canonical JSON text: sorted keys, no whitespace."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def canonical_key(problem: DecisionProblem) -> str:
     """The content-addressed cache key: canonical workspace JSON."""
-    return json.dumps(to_dict(problem), sort_keys=True, separators=(",", ":"))
+    return _canonical(to_dict(problem))
 
 
 def compile_cached(problem: DecisionProblem) -> CompiledProblem:
@@ -427,17 +448,39 @@ _ARTIFACT_ALIGN = 64
 _ARTIFACT_DTYPES = ("<f8", "<i8", "|b1")
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def content_hash(problem: DecisionProblem) -> str:
     """sha256 of the canonical workspace JSON — the semantic cache key."""
-    return hashlib.sha256(canonical_key(problem).encode("utf-8")).hexdigest()
+    return _sha256(canonical_key(problem))
 
 
-def _component_digest(payload: Any) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
-            "utf-8"
-        )
-    ).hexdigest()
+def _component_table(data: Mapping[str, Any]) -> Dict[str, str]:
+    """:func:`component_hashes` of an already-built :func:`to_dict`."""
+    hashes = {
+        "structure": _sha256(
+            _canonical(
+                {
+                    "format": data["format"],
+                    "hierarchy": data["hierarchy"],
+                    "scales": data["scales"],
+                    "utilities": data["utilities"],
+                    "alternative_names": [
+                        alt["name"] for alt in data["alternatives"]
+                    ],
+                }
+            )
+        ),
+        "name": _sha256(_canonical(data["name"])),
+    }
+    for alt in data["alternatives"]:
+        hashes[f"alt:{alt['name']}"] = _sha256(_canonical(alt))
+        hashes[f"row:{alt['name']}"] = _sha256(_canonical(alt["performances"]))
+    for node, interval in data["weights"].items():
+        hashes[f"weight:{node}"] = _sha256(_canonical(interval))
+    return hashes
 
 
 def component_hashes(problem: DecisionProblem) -> Dict[str, str]:
@@ -463,27 +506,7 @@ def component_hashes(problem: DecisionProblem) -> Dict[str, str]:
     ``"weight:<node>"``
         one objective node's local weight interval.
     """
-    data = to_dict(problem)
-    hashes = {
-        "structure": _component_digest(
-            {
-                "format": data["format"],
-                "hierarchy": data["hierarchy"],
-                "scales": data["scales"],
-                "utilities": data["utilities"],
-                "alternative_names": [
-                    alt["name"] for alt in data["alternatives"]
-                ],
-            }
-        ),
-        "name": _component_digest(data["name"]),
-    }
-    for alt in data["alternatives"]:
-        hashes[f"alt:{alt['name']}"] = _component_digest(alt)
-        hashes[f"row:{alt['name']}"] = _component_digest(alt["performances"])
-    for node, interval in data["weights"].items():
-        hashes[f"weight:{node}"] = _component_digest(interval)
-    return hashes
+    return _component_table(to_dict(problem))
 
 
 def component_json(problem: DecisionProblem) -> str:
@@ -493,9 +516,7 @@ def component_json(problem: DecisionProblem) -> str:
     v3) and what compiled artifacts carry, so a later run can
     diff components without re-hashing the old problem.
     """
-    return json.dumps(
-        component_hashes(problem), sort_keys=True, separators=(",", ":")
-    )
+    return _canonical(component_hashes(problem))
 
 
 def compiled_array_path(path: Union[str, Path]) -> Path:
@@ -509,6 +530,89 @@ def _file_sha256(path: Path) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
+
+
+def _read_source(path: Union[str, Path]) -> Tuple[bytes, str]:
+    """A workspace file's raw bytes and their sha256, from one read."""
+    raw = Path(path).read_bytes()
+    return raw, hashlib.sha256(raw).hexdigest()
+
+
+@dataclass(frozen=True)
+class Identity:
+    """What the registry index records about one workspace's content.
+
+    The stat-free half of an index row: raw-byte sha, semantic content
+    hash, per-component table and stacking shape.  Small and picklable,
+    so a pool worker that ingested (or mmapped) a workspace ships it
+    home with the chunk's results.
+    """
+
+    source_sha: str
+    content_hash: str
+    component_json: Optional[str]
+    n_alternatives: int
+    n_attributes: int
+
+
+@dataclass(frozen=True)
+class Ingested:
+    """One workspace file read once: the problem and its fingerprints.
+
+    Everything :func:`ingest` derives from a single read, parse and
+    :func:`to_dict` — ``components`` is the :func:`component_hashes`
+    table and ``component_json`` its canonical text.
+    """
+
+    problem: DecisionProblem
+    source_sha: str
+    content_hash: str
+    components: Dict[str, str]
+    component_json: str
+
+    @property
+    def identity(self) -> Identity:
+        """The index-facing fingerprint of the ingested file."""
+        return Identity(
+            source_sha=self.source_sha,
+            content_hash=self.content_hash,
+            component_json=self.component_json,
+            n_alternatives=len(self.problem.alternative_names),
+            n_attributes=len(self.problem.attribute_names),
+        )
+
+
+def ingest(
+    path: Union[str, Path], source: Optional[Tuple[bytes, str]] = None
+) -> Ingested:
+    """Read, parse and fingerprint one workspace file in a single pass.
+
+    The bytes are read once and ``source_sha`` is their sha256, so the
+    fingerprints always describe exactly the bytes that were parsed.
+    One :func:`to_dict` feeds both the content hash and the component
+    table; both are bit-identical to :func:`content_hash` and
+    :func:`component_json` of the parsed problem.  ``source`` passes a
+    ``(raw bytes, sha256)`` pair the caller already read (the index's
+    freshness ladder does), so the file is not read a second time.
+    Raises what :func:`load` raises for an unreadable or invalid file.
+    """
+    raw, source_sha = source if source is not None else (None, None)
+    with _stage("workspace.parse"):
+        if raw is None:
+            raw = Path(path).read_bytes()
+        problem = load(path, raw)
+    with _stage("workspace.hash"):
+        if source_sha is None:
+            source_sha = hashlib.sha256(raw).hexdigest()
+        data = to_dict(problem)
+        components = _component_table(data)
+        return Ingested(
+            problem=problem,
+            source_sha=source_sha,
+            content_hash=_sha256(_canonical(data)),
+            components=components,
+            component_json=_canonical(components),
+        )
 
 
 def save_compiled_arrays(
@@ -539,58 +643,59 @@ def save_compiled_arrays(
     ``component_json`` optionally embeds the per-component fingerprint
     table (:func:`component_json`) so index probes that trust the
     artifact can pick up sub-problem hashes without parsing the source
-    JSON.
+    JSON.  The write is timed as the ``artifact.write`` stage.
     """
-    npz_path = Path(npz_path)
-    layout: Dict[str, List[Any]] = {}
-    chunks: List[bytes] = []
-    offset = 0
-    for field in _ARRAY_FIELDS:
-        arr = np.ascontiguousarray(getattr(compiled, field))
-        if arr.dtype.kind == "i":
-            arr = arr.astype(np.int64)
-        pad = -offset % _ARTIFACT_ALIGN
-        chunks += [bytes(pad), arr.tobytes()]
-        offset += pad
-        layout[field] = [arr.dtype.str, list(arr.shape), offset]
-        offset += arr.nbytes
-    header = json.dumps(
-        {
-            "format": COMPILED_FORMAT,
-            "problem_name": compiled.name,
-            "attribute_names": list(compiled.attribute_names),
-            "alternative_names": list(compiled.alternative_names),
-            "source_sha": source_sha,
-            "content_hash": semantic_hash,
-            "component_json": component_json,
-            "arrays": layout,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
-    header_end = _ARTIFACT_PREFIX + len(header)
-    body = b"".join(
-        [
-            len(header).to_bytes(8, "little"),
-            header,
-            bytes(-header_end % _ARTIFACT_ALIGN),
-            *chunks,
-        ]
-    )
-    digest = hashlib.sha256(body).hexdigest()
-    tmp_path = npz_path.with_name(
-        f".{npz_path.name}.tmp.{os.getpid()}.{id(body):x}"
-    )
-    try:
-        with open(tmp_path, "wb") as fh:
-            fh.write(_ARTIFACT_MAGIC + digest.encode("ascii") + body)
-        os.replace(tmp_path, npz_path)
-    finally:
+    with _stage("artifact.write"):
+        npz_path = Path(npz_path)
+        layout: Dict[str, List[Any]] = {}
+        chunks: List[bytes] = []
+        offset = 0
+        for field in _ARRAY_FIELDS:
+            arr = np.ascontiguousarray(getattr(compiled, field))
+            if arr.dtype.kind == "i":
+                arr = arr.astype(np.int64)
+            pad = -offset % _ARTIFACT_ALIGN
+            chunks += [bytes(pad), arr.tobytes()]
+            offset += pad
+            layout[field] = [arr.dtype.str, list(arr.shape), offset]
+            offset += arr.nbytes
+        header = json.dumps(
+            {
+                "format": COMPILED_FORMAT,
+                "problem_name": compiled.name,
+                "attribute_names": list(compiled.attribute_names),
+                "alternative_names": list(compiled.alternative_names),
+                "source_sha": source_sha,
+                "content_hash": semantic_hash,
+                "component_json": component_json,
+                "arrays": layout,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        ).encode("utf-8")
+        header_end = _ARTIFACT_PREFIX + len(header)
+        body = b"".join(
+            [
+                len(header).to_bytes(8, "little"),
+                header,
+                bytes(-header_end % _ARTIFACT_ALIGN),
+                *chunks,
+            ]
+        )
+        digest = hashlib.sha256(body).hexdigest()
+        tmp_path = npz_path.with_name(
+            f".{npz_path.name}.tmp.{os.getpid()}.{id(body):x}"
+        )
         try:
-            tmp_path.unlink(missing_ok=True)
-        except OSError:  # pragma: no cover - directory-level failures
-            pass
-    return npz_path
+            with open(tmp_path, "wb") as fh:
+                fh.write(_ARTIFACT_MAGIC + digest.encode("ascii") + body)
+            os.replace(tmp_path, npz_path)
+        finally:
+            try:
+                tmp_path.unlink(missing_ok=True)
+            except OSError:  # pragma: no cover - directory-level failures
+                pass
+        return npz_path
 
 
 #: Glob matching the temp names :func:`save_compiled_arrays` writes
@@ -700,38 +805,88 @@ def _compiled_from_arrays(arrays: Mapping[str, Any]) -> CompiledProblem:
     )
 
 
+def _artifact_identity(arrays: Mapping[str, Any]) -> Identity:
+    """The :class:`Identity` a compiled artifact's header records."""
+    n_alternatives, n_attributes = arrays["u_avg"].shape
+    components = arrays.get("component_json")
+    return Identity(
+        source_sha=str(arrays["source_sha"]),
+        content_hash=str(arrays["content_hash"]),
+        component_json=None if components is None else str(components),
+        n_alternatives=int(n_alternatives),
+        n_attributes=int(n_attributes),
+    )
+
+
 def _fresh_artifact(
     path: Path,
-) -> Tuple[Optional[Dict[str, Any]], Path, str]:
-    """(arrays-if-fresh, npz_path, source_sha) for one workspace file.
+) -> Tuple[Optional[Dict[str, Any]], Path, Optional[Tuple[bytes, str]]]:
+    """(arrays-if-fresh, npz_path, source) for one workspace file.
 
     The single definition of artifact freshness: the artifact is usable
     iff it loads and its recorded ``source_sha`` matches the current
-    raw bytes of the workspace JSON.
+    raw bytes of the workspace JSON.  ``source`` is the ``(raw bytes,
+    sha256)`` pair read to decide that, for the caller to reuse; it is
+    ``None`` when no artifact loaded, in which case the workspace file
+    was not read at all.
     """
     npz_path = compiled_array_path(path)
-    source_sha = _file_sha256(path)
     arrays = load_compiled_arrays(npz_path)
-    if arrays is not None and str(arrays.get("source_sha")) == source_sha:
-        return arrays, npz_path, source_sha
-    return None, npz_path, source_sha
+    if arrays is None:
+        return None, npz_path, None
+    source = _read_source(path)
+    if str(arrays.get("source_sha")) != source[1]:
+        return None, npz_path, source
+    return arrays, npz_path, source
 
 
 def _compile_and_persist(
-    path: Path, npz_path: Path, source_sha: str
-) -> CompiledProblem:
-    """Compile a workspace from JSON and atomically (re)write its artifact."""
+    path: Path,
+    npz_path: Path,
+    source: Optional[Tuple[bytes, str]] = None,
+) -> Tuple[CompiledProblem, Ingested]:
+    """Ingest a workspace, lower it and atomically (re)write its artifact.
+
+    The one cold compile, timed as the ``workspace.compile`` stage with
+    ``workspace.parse`` and ``workspace.hash`` (:func:`ingest`),
+    ``workspace.lower`` and ``artifact.write`` nested inside it.
+    Returns the compiled form and the :class:`Ingested` bundle it came
+    from.
+    """
     with _stage("workspace.compile", path=str(path)):
-        problem = load(path)
-        compiled = compile_problem(problem)
+        ingested = ingest(path, source)
+        with _stage("workspace.lower"):
+            compiled = compile_problem(ingested.problem)
         save_compiled_arrays(
             compiled,
             npz_path,
-            source_sha,
-            content_hash(problem),
-            component_json=component_json(problem),
+            ingested.source_sha,
+            ingested.content_hash,
+            component_json=ingested.component_json,
         )
-        return compiled
+        return compiled, ingested
+
+
+def load_compiled_with_identity(
+    path: Union[str, Path],
+    refresh: bool = True,
+) -> Tuple[CompiledProblem, Identity]:
+    """:func:`load_compiled_fast` plus the workspace's :class:`Identity`.
+
+    The identity costs nothing extra: a fresh artifact's header records
+    it, and a compile derives it from the same :func:`ingest` that
+    parsed the file.
+    """
+    path = Path(path)
+    arrays, npz_path, source = _fresh_artifact(path)
+    if arrays is not None:
+        return _compiled_from_arrays(arrays), _artifact_identity(arrays)
+    if refresh:
+        compiled, ingested = _compile_and_persist(path, npz_path, source)
+    else:
+        ingested = ingest(path, source)
+        compiled = compile_problem(ingested.problem)
+    return compiled, ingested.identity
 
 
 def load_compiled_fast(
@@ -748,13 +903,7 @@ def load_compiled_fast(
     The returned compiled form carries ``problem=None`` on the fast
     path; callers needing the object graph parse the JSON explicitly.
     """
-    path = Path(path)
-    arrays, npz_path, source_sha = _fresh_artifact(path)
-    if arrays is not None:
-        return _compiled_from_arrays(arrays)
-    if refresh:
-        return _compile_and_persist(path, npz_path, source_sha)
-    return compile_problem(load(path))
+    return load_compiled_with_identity(path, refresh)[0]
 
 
 @dataclass(frozen=True)
@@ -783,6 +932,7 @@ def load_compiled_delta(
     old_content_hash: str,
     old_component_json: Optional[str],
     persist: bool = True,
+    ingested: Optional[Ingested] = None,
 ) -> Optional[DeltaLoad]:
     """Delta-compile an edited workspace against its cached artifact.
 
@@ -799,6 +949,11 @@ def load_compiled_delta(
     fingerprints, or a structural edit (hierarchy, scales, utilities,
     alternative set/order) — in which case the caller falls back to a
     full recompile exactly as before this path existed.
+
+    ``ingested`` is the edited file's :func:`ingest` bundle when the
+    caller already holds it (the batch runner ingests a changed file
+    once to look its new content up); otherwise the file is ingested
+    here.
     """
     path = Path(path)
     try:
@@ -814,12 +969,12 @@ def load_compiled_delta(
     arrays = load_compiled_arrays(npz_path)
     if arrays is None or str(arrays.get("content_hash")) != old_content_hash:
         return None
-    try:
-        source_sha = _file_sha256(path)
-        problem = load(path)
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    new_components = component_hashes(problem)
+    if ingested is None:
+        try:
+            ingested = ingest(path)
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+    new_components = ingested.components
     if new_components["structure"] != old_components.get("structure"):
         return None
     changed = tuple(
@@ -827,6 +982,7 @@ def load_compiled_delta(
         for key, digest in sorted(new_components.items())
         if old_components.get(key) != digest
     )
+    problem = ingested.problem
     names = list(problem.table.alternative_names)
     changed_rows = tuple(
         names.index(key[len("row:"):])
@@ -842,24 +998,20 @@ def load_compiled_delta(
             )
     except (ValueError, KeyError):  # pragma: no cover - structure gate
         return None
-    new_hash = content_hash(problem)
-    new_component_json = json.dumps(
-        new_components, sort_keys=True, separators=(",", ":")
-    )
     if persist:
         save_compiled_arrays(
             compiled,
             npz_path,
-            source_sha,
-            new_hash,
-            component_json=new_component_json,
+            ingested.source_sha,
+            ingested.content_hash,
+            component_json=ingested.component_json,
         )
     return DeltaLoad(
         compiled=compiled,
         problem=problem,
-        content_hash=new_hash,
-        component_json=new_component_json,
-        source_sha=source_sha,
+        content_hash=ingested.content_hash,
+        component_json=ingested.component_json,
+        source_sha=ingested.source_sha,
         npz_path=npz_path,
         changed_rows=changed_rows,
         changed_components=changed,
@@ -877,8 +1029,8 @@ def warm_compiled_cache(paths) -> int:
         path = Path(path)
         # the freshness probe maps the artifact and reads its header;
         # no tensor is copied
-        arrays, npz_path, source_sha = _fresh_artifact(path)
+        arrays, npz_path, source = _fresh_artifact(path)
         if arrays is None:
-            _compile_and_persist(path, npz_path, source_sha)
+            _compile_and_persist(path, npz_path, source)
             written += 1
     return written

@@ -147,3 +147,21 @@ def write_artifact(path, header, data: bytes) -> None:
     )
     digest = hashlib.sha256(body).hexdigest().encode("ascii")
     path.write_bytes(workspace._ARTIFACT_MAGIC + digest + body)
+
+
+def corpus_cases():
+    """Problem builders, as pytest params: the case study, then the
+    first 8 cases of every genreg preset except stress-10k."""
+    from repro.core import genreg
+
+    yield pytest.param(multimedia_problem, id="case-study")
+    for name in sorted(genreg.PRESETS):
+        if name == "stress-10k":
+            continue
+        for index in range(8):
+            yield pytest.param(
+                lambda n=name, i=index: genreg.generate_problem(
+                    genreg.PRESETS[n], i
+                ),
+                id=f"{name}-{index}",
+            )

@@ -3,6 +3,7 @@
 import json
 import os
 import sqlite3
+from dataclasses import replace as dc_replace
 
 import pytest
 
@@ -311,6 +312,193 @@ class TestIndexedRuns:
             warm = ShardedRunner(workers=1).run(paths, index=index)
         assert warm.n_cached == 8
         assert warm.results == cold.results
+
+
+def strip_path(results):
+    """Result rows without the registry file path."""
+    return [dc_replace(r, path="") for r in results]
+
+
+def drop_artifacts(paths):
+    for path in paths:
+        workspace.compiled_array_path(path).unlink(missing_ok=True)
+
+
+def stored_rows(index, paths):
+    return [index.lookup_workspace(path) for path in paths]
+
+
+class TestDeferredIngest:
+    """New, artifact-free workspaces skip the parent-side derive.
+
+    Their fingerprint comes home from the worker that compiled them and
+    is completed at the merge; these pin the edges of that path.
+    """
+
+    def test_copies_without_artifacts_are_served_from_cache(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        paths = write_registry(tmp_path / "a", n=5)
+        runner = ShardedRunner(
+            workers=1, options=BatchOptions(simulations=50, seed=3)
+        )
+        copies = []
+        for path in paths:
+            target = tmp_path / "b" / f"copy-{path.name}"
+            target.write_bytes(path.read_bytes())
+            copies.append(target)
+        with RegistryIndex(tmp_path / "index.sqlite") as index:
+            original = runner.run(paths, index=index)
+            assert not any(
+                workspace.compiled_array_path(c).exists() for c in copies
+            )
+            copied = runner.run(copies, index=index)
+            again = runner.run(copies, index=index)
+            rows = stored_rows(index, copies)
+        assert copied.n_cached == len(copies)
+        assert strip_path(copied.results) == strip_path(original.results)
+        assert [r.path for r in copied.results] == [str(c) for c in copies]
+        # the copies' fingerprints were recorded at the merge
+        assert all(row is not None for row in rows)
+        assert again.n_cached == len(copies)
+        assert again.results == copied.results
+
+    def test_worker_kill_leaves_a_clean_report(self, tmp_path):
+        from repro.core.faults import named_plan
+        from repro.core.runtime import RetryPolicy, shard_registry
+
+        paths = write_registry(tmp_path, n=8)
+        keys = [
+            f"chunk:{chunk[0]}:{chunk[-1]}"
+            for chunk in shard_registry(len(paths), 2)
+        ]
+        seed = next(
+            s
+            for s in range(10_000)
+            if any(
+                named_plan("worker-kill", seed=s).decide("worker_kill", k)
+                for k in keys
+            )
+        )
+        clean = ShardedRunner(workers=2).run(paths)
+        drop_artifacts(paths)
+        with RegistryIndex(tmp_path / "index.sqlite") as index:
+            faulty = ShardedRunner(
+                workers=2,
+                options=BatchOptions(faults=named_plan("worker-kill", seed)),
+                retry=RetryPolicy(backoff_base=0.001),
+            ).run(paths, index=index)
+            rows = stored_rows(index, paths)
+            warm = ShardedRunner(workers=2).run(paths, index=index)
+        assert faulty.n_retried >= 1
+        assert faulty.results == clean.results and not faulty.skipped
+        assert all(row is not None for row in rows)
+        assert warm.n_cached == len(paths) and warm.results == clean.results
+
+    def test_never_completed_chunks_record_nothing(self, tmp_path):
+        from repro.core.faults import FaultPlan, FaultRule
+        from repro.core.runtime import RetryPolicy
+
+        paths = write_registry(tmp_path, n=4)
+        clean = ShardedRunner(workers=2).run(paths)
+        drop_artifacts(paths)
+        kill_all = FaultPlan("always-kill", 0, (FaultRule("worker_kill", 1.0),))
+        with RegistryIndex(tmp_path / "index.sqlite") as index:
+            broken = ShardedRunner(
+                workers=2,
+                options=BatchOptions(faults=kill_all),
+                retry=RetryPolicy(quarantine_after=2, backoff_base=0.001),
+            ).run(paths, index=index)
+            assert broken.n_quarantined == len(paths)
+            assert index.status()["n_workspaces"] == 0
+            assert stored_rows(index, paths) == [None] * len(paths)
+            index.release_quarantine()
+            retried = ShardedRunner(workers=2).run(paths, index=index)
+            warm = ShardedRunner(workers=2).run(paths, index=index)
+        assert retried.n_cached == 0 and retried.results == clean.results
+        assert warm.n_cached == len(paths) and warm.results == clean.results
+
+    @pytest.mark.parametrize("when", ["after_chunk", "before_persist"])
+    def test_edit_after_dispatch_is_not_recorded(
+        self, tmp_path, monkeypatch, when
+    ):
+        from repro.core import runtime
+
+        paths = write_registry(tmp_path, n=3)
+        before = workspace.content_hash(workspace.load(paths[1]))
+        if when == "after_chunk":
+            evaluate = runtime.evaluate_registry_chunk
+
+            def edit_after(chunk, *args, **kwargs):
+                outcome = evaluate(chunk, *args, **kwargs)
+                if 1 in dict(chunk):  # once paths[1] has been evaluated
+                    mutate(paths[1])
+                return outcome
+
+            monkeypatch.setattr(runtime, "evaluate_registry_chunk", edit_after)
+        else:
+            persist = ShardedRunner._persist_run
+
+            def edit_before(*args):
+                mutate(paths[1])
+                return persist(*args)
+
+            monkeypatch.setattr(
+                ShardedRunner, "_persist_run", staticmethod(edit_before)
+            )
+        runner = ShardedRunner(workers=1)
+        with RegistryIndex(tmp_path / "index.sqlite") as index:
+            cold = runner.run(paths, index=index)
+            monkeypatch.undo()
+            config = eval_config_hash(runner.options)
+            assert cold.results[1].name == "ws-01"  # the bytes evaluated
+            assert index.lookup_workspace(paths[1]) is None
+            assert index.lookup_results(before, config) is None
+            assert index.lookup_workspace(paths[0]) is not None
+            after = runner.run(paths, index=index)
+        assert after.n_cached == 2
+        assert after.results[1].name == "ws-01-edited"
+
+    def test_rows_match_across_worker_counts(self, tmp_path):
+        paths = write_registry(tmp_path, n=8)
+        rows = {}
+        for workers in (1, 2):
+            drop_artifacts(paths)
+            db = tmp_path / f"index-{workers}.sqlite"
+            with RegistryIndex(db) as index:
+                ShardedRunner(workers=workers).run(paths, index=index)
+                rows[workers] = stored_rows(index, paths)
+        drop_artifacts(paths)
+        with RegistryIndex(tmp_path / "probe.sqlite") as index:
+            probed = [index.probe(path) for path in paths]
+        # IndexedWorkspace equality ignores recorded_ns
+        assert rows[1] == rows[2] == probed
+
+    def test_each_cold_workspace_is_parsed_once(self, tmp_path, monkeypatch):
+        paths = write_registry(tmp_path, n=4)
+        calls = []
+        real_load = workspace.load
+
+        def counting_load(path, raw=None):
+            calls.append(str(path))
+            return real_load(path, raw)
+
+        monkeypatch.setattr(workspace, "load", counting_load)
+        runner = ShardedRunner(workers=1)
+        with RegistryIndex(tmp_path / "index.sqlite") as index:
+            runner.run(paths, index=index)
+            assert sorted(calls) == sorted(str(p) for p in paths)
+            # a row edit is ingested once by the probe and delta-patched
+            # from that bundle; nothing parses it again
+            calls.clear()
+            data = json.loads(paths[2].read_text())
+            alt = data["alternatives"][0]
+            attr = sorted(alt["performances"])[0]
+            alt["performances"][attr] = {"kind": "missing"}
+            paths[2].write_text(json.dumps(data, indent=2, sort_keys=True))
+            edited = runner.run(paths, index=index)
+        assert edited.n_delta == 1
+        assert calls == [str(paths[2])]
 
 
 class TestStalenessRegression:

@@ -16,7 +16,12 @@ import pytest
 from repro.core import workspace
 from repro.core.engine import BatchEvaluator, CompiledProblem, compile_problem
 
-from ..conftest import artifact_layout, make_small_problem, write_artifact
+from ..conftest import (
+    artifact_layout,
+    corpus_cases,
+    make_small_problem,
+    write_artifact,
+)
 
 ARRAY_FIELDS = workspace._ARRAY_FIELDS
 
@@ -414,23 +419,6 @@ class TestUpgradeFromZip:
         assert capsys.readouterr().out == clean
 
 
-def _determinism_cases():
-    from repro.casestudy.problem import multimedia_problem
-    from repro.core import genreg
-
-    yield pytest.param(multimedia_problem, id="case-study")
-    for name in sorted(genreg.PRESETS):
-        if name == "stress-10k":
-            continue
-        for index in range(8):
-            yield pytest.param(
-                lambda n=name, i=index: genreg.generate_problem(
-                    genreg.PRESETS[n], i
-                ),
-                id=f"{name}-{index}",
-            )
-
-
 class TestDeterminism:
     def test_equal_content_writes_identical_bytes(self, saved_workspace):
         problem, path = saved_workspace
@@ -455,7 +443,7 @@ class TestDeterminism:
         blobs.append(target.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
-    @pytest.mark.parametrize("build", list(_determinism_cases()))
+    @pytest.mark.parametrize("build", list(corpus_cases()))
     def test_round_trip_matches_compile(self, tmp_path, build):
         reference = compile_problem(build())
         npz = tmp_path / "ws.npz"

@@ -161,3 +161,25 @@ class TestStageSeconds:
         ]
         assert worker_eval, "expected worker-side eval spans"
         assert stages["eval.stacked"] > 0.0
+
+
+class TestCompileStages:
+    def test_compile_nests_parse_hash_lower_and_write(self, tmp_path):
+        paths = write_registry(tmp_path, n=3)
+        with trace.tracing() as tracer:
+            ShardedRunner(workers=1, options=BatchOptions()).run(paths)
+        spans = tracer.spans()
+        compiles = [s for s in spans if s.name == "workspace.compile"]
+        assert len(compiles) == 3
+        for outer in compiles:
+            children = [s.name for s in spans if s.parent_id == outer.span_id]
+            assert children == [
+                "workspace.parse",
+                "workspace.hash",
+                "workspace.lower",
+                "artifact.write",
+            ]
+        # warm: the artifacts serve the next run, nothing compiles
+        with trace.tracing() as warm:
+            ShardedRunner(workers=1, options=BatchOptions()).run(paths)
+        assert "workspace.compile" not in {s.name for s in warm.spans()}

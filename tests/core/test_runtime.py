@@ -60,10 +60,11 @@ class TestChunkEvaluation:
     def test_results_match_per_problem_evaluation(self, tmp_path):
         paths = write_registry(tmp_path, n=4)
         chunk = [(i, str(p)) for i, p in enumerate(paths)]
-        results, skipped, n_stacks, _ = evaluate_registry_chunk(
+        results, skipped, n_stacks, identities, _ = evaluate_registry_chunk(
             chunk, BatchOptions()
         )
         assert skipped == [] and n_stacks == 1
+        assert identities == {}  # none requested
         assert [r.index for r in results] == [0, 1, 2, 3]
         for result, path in zip(results, paths):
             best = BatchEvaluator(
@@ -78,7 +79,7 @@ class TestChunkEvaluation:
         paths = write_registry(tmp_path, n=3)
         chunk = [(i, str(p)) for i, p in enumerate(paths)]
         options = BatchOptions(simulations=200, seed=11)
-        results, _, _, _ = evaluate_registry_chunk(chunk, options)
+        results = evaluate_registry_chunk(chunk, options).results
         for result, path in zip(results, paths):
             evaluator = BatchEvaluator(compile_problem(workspace.load(path)))
             mc = evaluator.simulate(
@@ -95,9 +96,9 @@ class TestChunkEvaluation:
     def test_objectives_expand_after_each_workspace(self, tmp_path):
         paths = write_registry(tmp_path, n=2)
         chunk = [(i, str(p)) for i, p in enumerate(paths)]
-        results, _, _, _ = evaluate_registry_chunk(
+        results = evaluate_registry_chunk(
             chunk, BatchOptions(objectives=True)
-        )
+        ).results
         # workspace + its two top-level objectives, per workspace (the
         # chunk returns stack order; the runner's merge sorts by key)
         results = sorted(results, key=lambda r: r.order_key)

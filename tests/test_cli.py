@@ -410,6 +410,35 @@ class TestTraceAndStats:
                 capsys, "trace", "summarize", str(tmp_path / "absent.json")
             )
 
+    def test_follow_stats_prints_one_stage_line_per_cycle(
+        self, capsys, tmp_path
+    ):
+        from repro.obs import trace
+
+        registry = tmp_path / "registry"
+        registry.mkdir()
+        code, _ = run_cli(
+            capsys, "workspace", "save", str(registry / "ws.json")
+        )
+        assert code == 0
+        code, out = run_cli(
+            capsys, "batch", "--follow", "--stats",
+            "--cycles", "2", "--interval", "0", str(registry),
+        )
+        assert code == 0
+        lines = out.splitlines()
+        stage_lines = [line for line in lines if " stages: " in line]
+        assert [line.split(" stages: ")[0] for line in stage_lines] == [
+            "cycle 1",
+            "cycle 2",
+        ]
+        assert lines.index(stage_lines[0]) == 1  # right after cycle 1's line
+        cold, warm = (line.split(" stages: ")[1] for line in stage_lines)
+        # each cycle reports only its own spans
+        assert "registry.run" in cold and "workspace.compile" in cold
+        assert "registry.run" in warm and "workspace.compile" not in warm
+        assert trace.active() is None
+
     def test_follow_conflicts_with_trace(self, capsys, tmp_path):
         registry = self._registry(capsys, tmp_path, n=1)
         with pytest.raises(SystemExit, match="--follow conflicts"):
