@@ -48,23 +48,6 @@ __all__ = [
     "stage_histogram",
 ]
 
-#: Bounds for per-stage eval timings: microseconds through cold
-#: multi-second compiles.
-_STAGE_BUCKETS = (
-    0.0001,
-    0.0005,
-    0.001,
-    0.005,
-    0.01,
-    0.05,
-    0.1,
-    0.5,
-    1.0,
-    5.0,
-    10.0,
-)
-
-
 def stage_histogram() -> metrics.Histogram:
     """The shared ``repro_eval_stage_seconds`` histogram.
 
@@ -76,7 +59,7 @@ def stage_histogram() -> metrics.Histogram:
         "repro_eval_stage_seconds",
         "Wall-clock seconds spent per pipeline stage.",
         labelnames=("stage",),
-        buckets=_STAGE_BUCKETS,
+        buckets=metrics.STAGE_BUCKETS,
     )
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -33,6 +33,7 @@ __all__ = [
     "render_prometheus",
     "escape_label_value",
     "PROMETHEUS_CONTENT_TYPE",
+    "STAGE_BUCKETS",
 ]
 
 #: The content type Prometheus scrapers expect from a text endpoint.
@@ -55,6 +56,11 @@ DEFAULT_BUCKETS = (
     5.0,
     10.0,
 )
+
+#: Finer bounds for per-stage and per-request timings: a 0.1 ms floor
+#: (warm service reads take well under 1 ms) through cold multi-second
+#: compiles.
+STAGE_BUCKETS = (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
 
 _LabelKey = Tuple[str, ...]
 
@@ -239,6 +245,32 @@ class Histogram(_Instrument):
             child = self._children.get(self._key(labels))
             return int(child["count"]) if child else 0
 
+    def sum(self, **labels: str) -> float:
+        """Sum of the observations recorded for the labelled series."""
+        with self._lock:
+            child = self._children.get(self._key(labels))
+            return float(child["sum"]) if child else 0.0
+
+    def quantile(self, q: float, **labels: str) -> Optional[float]:
+        """The ``q``-quantile of the labelled series, as a bucket bound.
+
+        The upper bound of the first bucket whose cumulative count
+        reaches ``q * count``: an upper estimate, exact only to the
+        bucket resolution.  ``None`` when the series is empty or the
+        quantile falls past the last finite bound.
+        """
+        with self._lock:
+            child = self._children.get(self._key(labels))
+            if child is None:
+                return None
+            rank = q * child["count"]
+            cumulative = 0
+            for bound, count in zip(self.buckets, child["counts"]):
+                cumulative += count
+                if cumulative >= rank:
+                    return bound
+        return None
+
     def samples(self) -> List[Tuple[str, List[Tuple[str, str]], float]]:
         """``(suffix, label_pairs, value)`` rows for exposition."""
         with self._lock:
@@ -336,16 +368,12 @@ class MetricsRegistry:
             ]
 
 
-def render_prometheus(
-    source: Optional[MetricsRegistry] = None,
-    extra_lines: Iterable[str] = (),
-) -> str:
+def render_prometheus(source: Optional[MetricsRegistry] = None) -> str:
     """The registry in Prometheus text exposition format.
 
     Every declared instrument renders a ``# HELP`` / ``# TYPE`` header
     even before its first sample, so scrapers discover the full metric
-    set immediately.  ``extra_lines`` lets a caller append pre-rendered
-    lines (the service uses it for snapshot-derived series).
+    set immediately.
     """
     reg = source if source is not None else registry()
     lines: List[str] = []
@@ -360,7 +388,6 @@ def render_prometheus(
                 f"{instrument.name}{suffix}"
                 f"{_render_labels(pairs)} {_format_value(value)}"
             )
-    lines.extend(extra_lines)
     return "\n".join(lines) + "\n"
 
 

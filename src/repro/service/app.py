@@ -94,7 +94,6 @@ import re
 import sqlite3
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from queue import Queue
@@ -198,77 +197,40 @@ def _dumps(payload: object) -> bytes:
     ).encode("utf-8")
 
 
-class _Metrics:
-    """Thread-safe request counters and a latency reservoir.
+#: The endpoint label of every request the route table cannot match
+#: (404 unknown path, 405 wrong method): raw paths would mint one
+#: series per distinct URL.
+_UNMATCHED = "(unmatched)"
 
-    Both accumulators are bounded, so a long-lived (``--follow``-era)
-    server cannot grow without limit: latency samples live in a ring
-    buffer of the last ``window`` requests, and the per-endpoint
-    counter keeps at most ``max_endpoints`` distinct labels — requests
-    for further labels (typically unique 404 paths, which use the raw
-    request path as their label) aggregate under ``"(other)"``.
-    """
 
-    #: Distinct endpoint labels kept before aggregating into "(other)".
-    _MAX_ENDPOINTS = 64
+def _http_requests() -> _obs_metrics.Counter:
+    """``repro_http_requests_total``: the one count of served requests."""
+    return _obs_metrics.registry().counter(
+        "repro_http_requests_total",
+        "HTTP requests served, by endpoint label, registry and status.",
+        labelnames=("endpoint", "registry", "status"),
+    )
 
-    def __init__(
-        self, window: int = 4096, max_endpoints: int = _MAX_ENDPOINTS
-    ) -> None:
-        """Empty counters; latency keeps the last ``window`` samples."""
-        self._lock = threading.Lock()
-        self._by_endpoint: Dict[str, int] = {}
-        self._by_status: Dict[str, int] = {}
-        self._latencies: deque = deque(maxlen=window)
-        self._max_endpoints = max_endpoints
-        self._total = 0
-        self._not_modified = 0
-        # Scrape-time percentiles need the reservoir sorted, but a
-        # monitoring stack polling an idle server must not pay an
-        # O(window log window) sort per scrape: the sorted copy is
-        # cached and reused until the next sample invalidates it.
-        self._sorted: Optional[List[float]] = None
-        self._n_sorts = 0
 
-    def record(self, endpoint: str, status: int, seconds: float) -> None:
-        """Count one served request and append its latency sample."""
-        with self._lock:
-            self._total += 1
-            if (
-                endpoint not in self._by_endpoint
-                and len(self._by_endpoint) >= self._max_endpoints
-            ):
-                endpoint = "(other)"
-            self._by_endpoint[endpoint] = self._by_endpoint.get(endpoint, 0) + 1
-            key = str(status)
-            self._by_status[key] = self._by_status.get(key, 0) + 1
-            if status == 304:
-                self._not_modified += 1
-            self._latencies.append(seconds)
-            self._sorted = None
+def _http_seconds() -> _obs_metrics.Histogram:
+    """``repro_http_request_seconds``: end-to-end handling latency."""
+    return _obs_metrics.registry().histogram(
+        "repro_http_request_seconds",
+        "End-to-end request handling latency in seconds.",
+        buckets=_obs_metrics.STAGE_BUCKETS,
+    )
 
-    def snapshot(self) -> Dict[str, object]:
-        """The ``/metrics`` payload: counters + latency percentiles."""
-        with self._lock:
-            if self._sorted is None:
-                self._sorted = sorted(self._latencies)
-                self._n_sorts += 1
-            latencies = self._sorted
-            payload = {
-                "total": self._total,
-                "by_endpoint": dict(sorted(self._by_endpoint.items())),
-                "by_status": dict(sorted(self._by_status.items())),
-                "not_modified": self._not_modified,
-            }
-        latency: Dict[str, object] = {"window": len(latencies)}
-        if latencies:
-            def pct(q: float) -> float:
-                pos = min(len(latencies) - 1, int(q * (len(latencies) - 1)))
-                return latencies[pos] * 1000.0
-            latency["p50_ms"] = pct(0.50)
-            latency["p99_ms"] = pct(0.99)
-            latency["max_ms"] = latencies[-1] * 1000.0
-        return {"requests": payload, "latency": latency}
+
+def _cache_lookups(hit: bool) -> _obs_metrics.Counter:
+    """The per-registry response-LRU hit (or miss) counter."""
+    return _obs_metrics.registry().counter(
+        "repro_response_cache_hits_total"
+        if hit
+        else "repro_response_cache_misses_total",
+        "Response LRU lookups, split by outcome "
+        "(hits serve the stored body; misses rebuild it).",
+        labelnames=("registry",),
+    )
 
 
 class _CircuitBreaker:
@@ -676,7 +638,6 @@ class ServiceApp:
         # Single-registry compatibility surface (tests, server banner).
         self.registry_dir = default_state.root
         self.index_path = default_state.index_path
-        self.metrics = _Metrics()
         self._warmer: Optional[_CacheWarmer] = (
             _CacheWarmer(self) if warm_writes else None
         )
@@ -763,7 +724,7 @@ class ServiceApp:
         split = urlsplit(target)
         path = unquote(split.path)
         query = parse_qs(split.query, keep_blank_values=True)
-        endpoint, registry_label = path, ""
+        endpoint, registry_label = _UNMATCHED, ""
         started = time.perf_counter()
         with _span(
             "http.request",
@@ -775,7 +736,10 @@ class ServiceApp:
                 route, path_params = self._router.match(method, path)
                 endpoint = route.label
                 if route.scope == "registry":
-                    registry_label = path_params.get("registry", "")
+                    # only a mounted name labels: unknown ones are 404s
+                    name = path_params.get("registry", "")
+                    if self.federation.get(name) is not None:
+                        registry_label = name
                 elif route.scope == "default":
                     registry_label = self.federation.default_name or ""
                 self._authorize(route, headers)
@@ -810,8 +774,12 @@ class ServiceApp:
                 )
             response = self._negotiate_encoding(response, headers)
         elapsed = time.perf_counter() - started
-        self.metrics.record(endpoint, response.status, elapsed)
-        self._record_obs(endpoint, registry_label, response.status, elapsed)
+        _http_requests().inc(
+            endpoint=endpoint,
+            registry=registry_label,
+            status=str(response.status),
+        )
+        _http_seconds().observe(elapsed)
         merged = dict(response.headers)
         merged.setdefault("X-Request-Id", request_id)
         return replace(response, headers=merged)
@@ -863,22 +831,6 @@ class ServiceApp:
         merged["Content-Encoding"] = "gzip"
         merged["Vary"] = "Accept-Encoding"
         return replace(response, body=compressed, headers=merged)
-
-    @staticmethod
-    def _record_obs(
-        endpoint: str, registry: str, status: int, seconds: float
-    ) -> None:
-        """Mirror one served request into the process-wide obs metrics."""
-        reg = _obs_metrics.registry()
-        reg.counter(
-            "repro_http_requests_total",
-            "HTTP requests served, by endpoint label, registry and status.",
-            labelnames=("endpoint", "registry", "status"),
-        ).inc(endpoint=endpoint, registry=registry, status=str(status))
-        reg.histogram(
-            "repro_http_request_seconds",
-            "End-to-end request handling latency in seconds.",
-        ).observe(seconds)
 
     def _state_for(self, request: Request) -> RegistryState:
         """The registry state a request addresses (404 when unmounted)."""
@@ -942,12 +894,13 @@ class ServiceApp:
     def _h_metrics(self, request: Request) -> Response:
         """The metrics scrape: JSON by default, ``?format=prometheus``.
 
-        The JSON snapshot keeps its PR-4 shape (existing dashboards
-        keep working) plus per-registry cache stats; the Prometheus
-        branch renders the process-wide :mod:`repro.obs.metrics`
-        registry — request counts, response cache hits/misses,
+        Both formats read the process-wide :mod:`repro.obs.metrics`
+        registry, the only place requests and cache lookups are
+        counted, so they cannot disagree.  The Prometheus branch
+        renders it whole — request counts, response cache hits/misses,
         per-stage eval seconds — plus one breaker state gauge per
-        registry, in text exposition format 0.0.4.
+        registry, in text exposition format 0.0.4; the JSON branch is
+        the :meth:`_metrics_snapshot` view of it.
         """
         fmt = request.params["format"]
         if fmt == "prometheus":
@@ -962,13 +915,66 @@ class ServiceApp:
                 f"unknown metrics format {fmt!r} "
                 "(expected 'json' or 'prometheus')",
             )
-        payload = self.metrics.snapshot()
-        payload["cache"] = self.cache.stats()
-        payload["registries"] = {
-            state.name: {"cache": state.cache.stats()}
-            for state in self.federation.states()
+        return Response(200, _dumps(self._metrics_snapshot()))
+
+    def _metrics_snapshot(self) -> Dict[str, object]:
+        """The JSON ``/metrics`` payload, summed from the obs series.
+
+        ``requests`` splits ``repro_http_requests_total`` by each
+        label; ``latency`` quantiles are the bucket upper bounds of
+        ``repro_http_request_seconds``; ``cache`` is the default
+        registry's block.
+        """
+        splits: Dict[str, Dict[str, int]] = {
+            "endpoint": {},
+            "registry": {},
+            "status": {},
         }
-        return Response(200, _dumps(payload))
+        for _, pairs, value in _http_requests().samples():
+            for label, key in pairs:
+                split = splits[label]
+                split[key] = split.get(key, 0) + int(value)
+        by_status = splits["status"]
+        seconds = _http_seconds()
+        count = seconds.count()
+
+        def ms(value: Optional[float]) -> Optional[float]:
+            return None if value is None else value * 1000.0
+
+        return {
+            "requests": {
+                "total": sum(by_status.values()),
+                "by_endpoint": splits["endpoint"],
+                "by_registry": splits["registry"],
+                "by_status": by_status,
+                "not_modified": by_status.get("304", 0),
+            },
+            "latency": {
+                "count": count,
+                "p50_ms": ms(seconds.quantile(0.50)),
+                "p99_ms": ms(seconds.quantile(0.99)),
+                "mean_ms": ms(seconds.sum() / count) if count else None,
+            },
+            "cache": self._cache_stats(self.federation.default),
+            "registries": {
+                state.name: {"cache": self._cache_stats(state)}
+                for state in self.federation.states()
+            },
+        }
+
+    @staticmethod
+    def _cache_stats(state: RegistryState) -> Dict[str, object]:
+        """One registry's response-LRU lookups and occupancy."""
+        hits = int(_cache_lookups(True).value(registry=state.name))
+        misses = int(_cache_lookups(False).value(registry=state.name))
+        total = hits + misses
+        return {
+            "hits": hits,
+            "misses": misses,
+            "size": len(state.cache),
+            "capacity": state.cache.capacity,
+            "hit_ratio": (hits / total) if total else 0.0,
+        }
 
     #: Breaker states as gauge values (closed is healthy).
     _BREAKER_STATES = {"closed": 0, "half-open": 1, "open": 2}
@@ -1069,7 +1075,7 @@ class ServiceApp:
                     "default": state.name == self.federation.default_name,
                     "index": index_status,
                     "index_error": index_error,
-                    "cache": state.cache.stats(),
+                    "cache": self._cache_stats(state),
                 }
             ),
         )
@@ -1111,14 +1117,7 @@ class ServiceApp:
                 workspaces.append({"id": ws_id, "error": "unreadable"})
                 continue
             if status != "fresh":
-                if status == "changed":
-                    old = state.index.lookup_workspace(path)
-                    if (
-                        old is not None
-                        and old.content_hash != record.content_hash
-                    ):
-                        state.cache.invalidate(old.content_hash)
-                        self._notify_warm(state.name, ws_id)
+                self._absorb_edit(state, ws_id, path, record, status)
                 fresh_records.append(record)
             workspaces.append(
                 {
@@ -1221,14 +1220,9 @@ class ServiceApp:
     def _probe(self, state: RegistryState, ws_id: str, path: Path):
         """Probe one workspace, absorbing any edit incrementally.
 
-        When the probe reports the file changed, the responses rendered
-        from its *previous* content hash are evicted from the
-        registry's LRU
-        (:meth:`~repro.service.cache.ResponseCache.invalidate`) —
-        targeted invalidation instead of waiting for cold misses to age
-        them out — the cache warmer (when enabled) is notified, and the
-        fresh fingerprint is persisted so every later probe takes the
-        stat fast path.
+        A changed file goes through :meth:`_absorb_edit`, and the fresh
+        fingerprint is persisted so every later probe takes the stat
+        fast path.
         """
         record, status = state.index.probe_with_status(path)
         if record is None:
@@ -1238,14 +1232,32 @@ class ServiceApp:
                 code="workspace_invalid",
             )
         if status != "fresh":
-            if status == "changed":
-                old = state.index.lookup_workspace(path)
-                if old is not None and old.content_hash != record.content_hash:
-                    state.cache.invalidate(old.content_hash)
-                    self._notify_warm(state.name, ws_id)
+            self._absorb_edit(state, ws_id, path, record, status)
             with state.write_lock:
                 state.index.record_probes([record])
         return record
+
+    def _absorb_edit(
+        self,
+        state: RegistryState,
+        ws_id: str,
+        path: Path,
+        record,
+        status: str,
+    ) -> None:
+        """Evict the responses a changed workspace's edit superseded.
+
+        The responses rendered from its *previous* content hash leave
+        the registry's LRU (targeted invalidation instead of waiting
+        for them to age out) and the cache warmer, when enabled, is
+        notified.  :meth:`_probe` and the listing share this step.
+        """
+        if status != "changed":
+            return
+        old = state.index.lookup_workspace(path)
+        if old is not None and old.content_hash != record.content_hash:
+            state.cache.invalidate(old.content_hash)
+            self._notify_warm(state.name, ws_id)
 
     def _notify_warm(self, registry_name: str, ws_id: str) -> None:
         """Queue a background pre-evaluation when warming is enabled."""
@@ -1333,16 +1345,7 @@ class ServiceApp:
             x_cache = "miss"
         else:
             x_cache = "hit"
-        name = (
-            "repro_response_cache_hits_total"
-            if x_cache == "hit"
-            else "repro_response_cache_misses_total"
-        )
-        _obs_metrics.registry().counter(
-            name,
-            "Response LRU lookups, split by outcome "
-            "(hits serve the stored body; misses rebuild it).",
-        ).inc()
+        _cache_lookups(x_cache == "hit").inc(registry=state.name)
         if stale_key is not None:
             state.stale.put(stale_key, cached)
         return Response(

@@ -22,7 +22,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional
+from typing import Hashable, Optional
 
 __all__ = [
     "CachedResponse",
@@ -124,8 +124,9 @@ class ResponseCache:
 
     ``capacity`` bounds the entry count; insertion past it evicts the
     least-recently-used entry.  ``get``/``put`` are O(1) under one
-    lock, and hit/miss counters feed the service's ``/metrics``
-    endpoint.
+    lock.  The cache keeps no counters: the service counts lookups in
+    the process-wide ``repro_response_cache_{hits,misses}_total``
+    series.
     """
 
     def __init__(self, capacity: int = 1024) -> None:
@@ -135,18 +136,13 @@ class ResponseCache:
         self.capacity = capacity
         self._entries: "OrderedDict[Hashable, CachedResponse]" = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
 
     def get(self, key: Hashable) -> Optional[CachedResponse]:
         """The cached response under ``key``, refreshed to MRU; or None."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
+            if entry is not None:
+                self._entries.move_to_end(key)
             return entry
 
     def put(self, key: Hashable, entry: CachedResponse) -> None:
@@ -158,7 +154,7 @@ class ResponseCache:
                 self._entries.popitem(last=False)
 
     def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
+        """Drop every entry."""
         with self._lock:
             self._entries.clear()
 
@@ -186,17 +182,3 @@ class ResponseCache:
         """Current entry count."""
         with self._lock:
             return len(self._entries)
-
-    def stats(self) -> Dict[str, object]:
-        """Hit/miss counters and occupancy for ``/metrics``."""
-        with self._lock:
-            hits, misses = self._hits, self._misses
-            size = len(self._entries)
-        total = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "size": size,
-            "capacity": self.capacity,
-            "hit_ratio": (hits / total) if total else 0.0,
-        }

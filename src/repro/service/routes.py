@@ -21,7 +21,8 @@ drives four consumers:
   ``tools/check_openapi.py``;
 * **metrics labels** — :attr:`Route.label` is the bounded-cardinality
   endpoint label (``/v1/registries/{registry}/workspaces/{id}/ranking``)
-  the request counters use.
+  the request counters use; requests no route matches share the one
+  label ``(unmatched)``.
 
 Path templates use ``{name}`` for one segment and ``{name...}`` for a
 greedy run of one or more segments (workspace ids may contain ``/``).

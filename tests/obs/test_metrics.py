@@ -88,6 +88,53 @@ class TestHistogram:
             Histogram("lat", "latency", buckets=())
 
 
+class TestHistogramQuantile:
+    def test_empty_series_has_no_quantile(self):
+        histogram = Histogram("lat", "latency", buckets=(0.1, 1.0))
+        assert histogram.quantile(0.5) is None
+        assert histogram.quantile(0.99) is None
+        labelled = Histogram(
+            "lat", "latency", labelnames=("op",), buckets=(0.1, 1.0)
+        )
+        labelled.observe(0.05, op="read")
+        assert labelled.quantile(0.5, op="write") is None
+
+    def test_quantile_is_the_first_bucket_reaching_the_rank(self):
+        histogram = Histogram("lat", "latency", buckets=(0.1, 0.5, 1.0))
+        for value in (0.05, 0.05, 0.3, 0.7):
+            histogram.observe(value)
+        assert histogram.quantile(0.25) == 0.1
+        assert histogram.quantile(0.5) == 0.1  # rank 2 reached at 0.1
+        assert histogram.quantile(0.51) == 0.5
+        assert histogram.quantile(0.75) == 0.5
+        assert histogram.quantile(0.99) == 1.0
+        assert histogram.quantile(1.0) == 1.0
+
+    def test_exact_bucket_edges_land_in_their_own_bucket(self):
+        histogram = Histogram("lat", "latency", buckets=(0.1, 0.5, 1.0))
+        histogram.observe(0.1)
+        histogram.observe(0.5)
+        assert histogram.quantile(0.5) == 0.1
+        assert histogram.quantile(1.0) == 0.5
+
+    def test_quantile_past_the_last_finite_bound_is_none(self):
+        histogram = Histogram("lat", "latency", buckets=(0.1, 1.0))
+        histogram.observe(0.05)
+        histogram.observe(5.0)
+        assert histogram.quantile(0.5) == 0.1
+        assert histogram.quantile(0.99) is None
+        only_past = Histogram("lat", "latency", buckets=(0.1, 1.0))
+        only_past.observe(1.5)
+        assert only_past.quantile(0.5) is None
+
+    def test_sum_tracks_observations(self):
+        histogram = Histogram("lat", "latency", buckets=(0.1, 1.0))
+        assert histogram.sum() == 0.0
+        histogram.observe(0.25)
+        histogram.observe(2.0)
+        assert histogram.sum() == pytest.approx(2.25)
+
+
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
         registry = MetricsRegistry()
@@ -154,11 +201,6 @@ class TestExposition:
         registry = MetricsRegistry()
         registry.counter("n_total", "n").inc(3)
         assert "n_total 3\n" in render_prometheus(registry)
-
-    def test_extra_lines_appended(self):
-        registry = MetricsRegistry()
-        text = render_prometheus(registry, extra_lines=["custom_metric 1"])
-        assert text.endswith("custom_metric 1\n")
 
     def test_render_defaults_to_process_registry(self):
         previous = metrics.registry()

@@ -1,6 +1,7 @@
 """Tests for the query service route table (no socket involved)."""
 
 import json
+import re
 
 import pytest
 
@@ -402,6 +403,32 @@ class TestRegistryListing:
         assert get(app, "/v1/workspaces/deep/nested/ranking").status == 200
 
 
+def scrape(app):
+    """The Prometheus exposition text of ``GET /metrics``."""
+    return get(app, "/metrics?format=prometheus").body.decode("utf-8")
+
+
+def prometheus_samples(text, name):
+    """``[(labels, value)]`` for one metric of an exposition text."""
+    rows = []
+    for line in text.splitlines():
+        if not line.startswith(name + "{"):
+            continue
+        series, value = line.rsplit(" ", 1)
+        labels = dict(re.findall(r'(\w+)="((?:[^"\\]|\\.)*)"', series))
+        rows.append((labels, float(value)))
+    return rows
+
+
+def edit(path):
+    """Change one performance cell so the content hash moves."""
+    data = json.loads(path.read_text())
+    perf = data["alternatives"][0]["performances"]
+    key = sorted(perf)[0]
+    perf[key] = 0.0 if perf[key] != 0.0 else 1.0
+    path.write_text(json.dumps(data))
+
+
 class TestMetrics:
     def test_counters_and_latency_shape(self, app):
         get(app, "/v1/workspaces/ws-00/ranking")
@@ -411,12 +438,27 @@ class TestMetrics:
         requests = payload["requests"]
         assert requests["total"] == 3
         assert requests["by_endpoint"]["/v1/workspaces/{id}/ranking"] == 2
+        assert requests["by_endpoint"]["(unmatched)"] == 1
+        assert requests["by_registry"] == {"default": 2, "": 1}
         assert requests["by_status"]["200"] == 2
         assert requests["by_status"]["404"] == 1
         assert payload["cache"]["hits"] == 1
         assert payload["cache"]["misses"] == 1
-        assert payload["latency"]["window"] == 3
-        assert payload["latency"]["p50_ms"] <= payload["latency"]["p99_ms"]
+        assert payload["cache"]["hit_ratio"] == 0.5
+        assert payload["registries"]["default"]["cache"] == payload["cache"]
+        latency = payload["latency"]
+        assert latency["count"] == 3
+        assert 0.0 < latency["mean_ms"]
+        assert latency["p50_ms"] <= latency["p99_ms"]
+
+    def test_empty_latency_has_no_quantiles(self, app):
+        latency = body(get(app, "/metrics"))["latency"]
+        assert latency == {
+            "count": 0,
+            "p50_ms": None,
+            "p99_ms": None,
+            "mean_ms": None,
+        }
 
     def test_304_counted(self, app):
         etag = get(app, "/v1/workspaces/ws-00/ranking").headers["ETag"]
@@ -426,54 +468,109 @@ class TestMetrics:
         payload = body(get(app, "/metrics"))
         assert payload["requests"]["not_modified"] == 1
 
-    def test_accumulators_stay_bounded_under_many_requests(self, app):
-        """10k requests with unique 404 paths must not grow the
-        latency sample buffer or the endpoint label map unboundedly."""
-        from repro.service.app import _Metrics
+    def test_unmatched_requests_keep_label_cardinality_bounded(self, app):
+        """10k unique 404 paths and 405s to concrete workspace paths
+        must not mint one request series per URL."""
+        from repro.service.app import ROUTES
 
-        for i in range(10_000):
-            get(app, f"/nope-{i}")
-        metrics = app.metrics
-        assert len(metrics._latencies) <= metrics._latencies.maxlen
-        assert metrics._latencies.maxlen == 4096
-        assert len(metrics._by_endpoint) <= _Metrics._MAX_ENDPOINTS + 1
-        payload = body(get(app, "/metrics"))
-        assert payload["requests"]["by_endpoint"]["(other)"] > 0
-        assert payload["latency"]["window"] <= 4096
+        paths = [f"/nope-{i}" for i in range(4_000)]
+        paths += [f"/v1/workspaces/ws-00/verb-{i}" for i in range(3_000)]
+        paths += [f"/v1/registries/gone-{i}/registry" for i in range(3_000)]
+        for path in paths:
+            assert get(app, path).status == 404
+        for i in range(1_000):
+            assert app.handle(
+                "POST", f"/v1/workspaces/ws-{i:04d}/ranking"
+            ).status == 405
+            assert app.handle(
+                "DELETE", f"/v1/registries/default/workspaces/w{i}/dominance"
+            ).status == 405
+        rows = prometheus_samples(scrape(app), "repro_http_requests_total")
+        assert sum(value for _, value in rows) == 12_000
+        route_labels = {route.label for route in ROUTES}
+        endpoints = {}
+        for labels, _ in rows:
+            assert labels["registry"] == ""
+            pair = (labels["registry"], labels["status"])
+            endpoints.setdefault(pair, set()).add(labels["endpoint"])
+        assert set(endpoints) == {("", "404"), ("", "405")}
+        for labels in endpoints.values():
+            assert labels <= route_labels | {"(unmatched)"}
+            assert len(labels) <= len(route_labels) + 1
+        by_endpoint = body(get(app, "/metrics"))["requests"]["by_endpoint"]
+        assert by_endpoint == {
+            "(unmatched)": 9_000,
+            "/v1/registries/{registry}/registry": 3_000,
+            "/metrics": 1,
+        }
 
-    def test_snapshot_sorts_the_window_once_not_per_scrape(self, app):
-        """Scrapes reuse one sorted copy of the latency window; only a
-        new recording pays another O(window log window) sort."""
-        metrics = app.metrics
-        for i in range(100):
-            get(app, f"/nope-{i}")
-        sorts_before = metrics._n_sorts
-        for _ in range(50):
-            metrics.snapshot()
-        assert metrics._n_sorts == sorts_before + 1
-        get(app, "/nope-again")  # dirties the window
-        metrics.snapshot()
-        metrics.snapshot()
-        assert metrics._n_sorts == sorts_before + 2
+    def test_json_and_prometheus_agree(self, tmp_path, tmp_path_factory):
+        """Both formats read the same series, so after a mixed
+        sequence the JSON splits equal the exposition samples."""
+        beta = tmp_path_factory.mktemp("beta")
+        write_registry(tmp_path)
+        write_registry(beta)
+        with ServiceApp(tmp_path, mounts={"beta": beta}) as app:
+            ranking = "/v1/workspaces/ws-00/ranking"
+            etag = get(app, ranking).headers["ETag"]
+            get(app, ranking)
+            assert get(app, ranking, **{"If-None-Match": etag}).status == 304
+            for _ in range(3):
+                get(app, "/v1/registries/beta/workspaces/ws-01/ranking")
+            get(app, "/v1/registries/beta/workspaces/ws-01/dominance")
+            missing = "/v1/registries/beta/workspaces/missing/ranking"
+            assert get(app, missing).status == 404
+            assert get(app, "/nope").status == 404
+            assert app.handle("POST", ranking).status == 405
+            get(app, "/healthz")
+            snapshot = body(get(app, "/metrics"))
+            text = scrape(app)
 
-    def test_snapshot_unchanged_by_sort_caching(self, app):
+        requests = snapshot["requests"]
+        assert requests["total"] == 11
+        assert requests["by_registry"] == {"default": 3, "beta": 5, "": 3}
+        assert requests["by_status"] == {
+            "200": 7, "304": 1, "404": 2, "405": 1,
+        }
+        assert requests["not_modified"] == 1
+        rows = prometheus_samples(text, "repro_http_requests_total")
+        # the scrape also counts the JSON request that preceded it
+        assert sum(value for _, value in rows) == requests["total"] + 1
+        for label, extra in (
+            ("endpoint", "/metrics"), ("registry", ""), ("status", "200"),
+        ):
+            expected = dict(requests["by_" + label])
+            expected[extra] = expected.get(extra, 0) + 1
+            seen = {}
+            for labels, value in rows:
+                key = labels[label]
+                seen[key] = seen.get(key, 0) + int(value)
+            assert seen == expected, label
+
+        for field in ("hits", "misses"):
+            rows = prometheus_samples(
+                text, f"repro_response_cache_{field}_total"
+            )
+            counted = {labels["registry"]: int(v) for labels, v in rows}
+            for name in ("default", "beta"):
+                block = snapshot["registries"][name]["cache"]
+                assert block[field] == counted[name], (name, field)
+        caches = snapshot["registries"]
+        assert (caches["default"]["cache"]["hits"],
+                caches["default"]["cache"]["misses"]) == (1, 1)
+        assert (caches["beta"]["cache"]["hits"],
+                caches["beta"]["cache"]["misses"]) == (2, 2)
+        assert snapshot["cache"] == caches["default"]["cache"]
+
+    def test_snapshot_is_a_pure_read(self, app):
         get(app, "/v1/workspaces/ws-00/ranking")
-        first = app.metrics.snapshot()
-        second = app.metrics.snapshot()
+        first = app._metrics_snapshot()
+        second = app._metrics_snapshot()
         assert first == second
         assert first["latency"]["p50_ms"] >= 0.0
 
 
 class TestPrometheusEndpoint:
-    @pytest.fixture(autouse=True)
-    def fresh_registry(self):
-        from repro.obs import metrics as obs_metrics
-
-        previous = obs_metrics.registry()
-        obs_metrics.reset_registry()
-        yield
-        obs_metrics.set_registry(previous)
-
     def test_json_stays_the_default(self, app):
         response = get(app, "/metrics")
         assert response.content_type == "application/json"
@@ -493,8 +590,10 @@ class TestPrometheusEndpoint:
             'repro_http_requests_total{endpoint="/v1/workspaces/{id}/'
             'ranking",registry="default",status="200"} 2' in text
         )
-        assert "repro_response_cache_hits_total 1" in text
-        assert "repro_response_cache_misses_total 1" in text
+        assert 'repro_response_cache_hits_total{registry="default"} 1' in text
+        assert (
+            'repro_response_cache_misses_total{registry="default"} 1' in text
+        )
         # the in-process evaluation fed the eval-latency histogram
         assert 'repro_eval_stage_seconds_bucket{stage="eval.stacked"' in text
         assert 'repro_breaker_state{registry="default"} 0' in text
@@ -567,12 +666,7 @@ class TestCacheInvalidation:
         get(app, "/v1/workspaces/ws-01/ranking")
         assert len(app.cache) == 3
 
-        data = json.loads(registry[0].read_text())
-        perf = data["alternatives"][0]["performances"]
-        key = sorted(perf)[0]
-        perf[key] = 0.0 if perf[key] != 0.0 else 1.0
-        registry[0].write_text(json.dumps(data))
-
+        edit(registry[0])
         first = get(app, "/v1/workspaces/ws-00/ranking")
         assert first.status == 200
         # old ws-00 entries were evicted, ws-01's entry survived
@@ -582,6 +676,29 @@ class TestCacheInvalidation:
         assert (
             body(get(app, "/metrics"))["cache"]["hits"] == hits_before + 1
         )
+
+    def test_listing_absorbs_an_edit_like_a_read(
+        self, app, registry, monkeypatch
+    ):
+        """GET /v1/registry evicts an edited workspace's responses and
+        notifies the warmer, exactly as a workspace read would."""
+        notified = []
+        monkeypatch.setattr(
+            app, "_notify_warm", lambda *args: notified.append(args)
+        )
+        get(app, "/v1/workspaces/ws-00/ranking")
+        get(app, "/v1/workspaces/ws-00/dominance")
+        get(app, "/v1/workspaces/ws-01/ranking")
+        assert len(app.cache) == 3
+        edit(registry[0])
+        assert get(app, "/v1/registry").status == 200
+        assert len(app.cache) == 1
+        assert notified == [("default", "ws-00")]
+        hit = get(app, "/v1/workspaces/ws-01/ranking")
+        assert hit.headers["X-Cache"] == "hit"
+        assert get(app, "/v1/workspaces/ws-00/ranking").headers[
+            "X-Cache"
+        ] == "miss"
 
     def test_touch_keeps_entries_hot(self, app, registry):
         get(app, "/v1/workspaces/ws-00/ranking")
