@@ -42,7 +42,7 @@ try:  # allow standalone execution without a PYTHONPATH export
 except ImportError:  # pragma: no cover - path bootstrap
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.engine import BatchEvaluator
+from repro.core.engine import BatchEvaluator, compile_problem
 from repro.core.genreg import neon_shortlist_registry
 from repro.core.runtime import BatchOptions, ShardedRunner
 from repro.core import workspace
@@ -67,16 +67,14 @@ def build_registry(directory: Path, n_workspaces: int = N_WORKSPACES):
 def sequential_reference(paths, simulations: int = 0):
     """The PR 1 `repro batch` hot path: one workspace at a time.
 
-    JSON parse -> object-graph compile (through the in-memory LRU, as
-    the CLI did) -> per-problem BatchEvaluator, single process; with
-    ``simulations`` a per-problem §V Monte Carlo on top, exactly as
-    ``repro batch --simulate N`` computed it.  Returns the
-    per-workspace (name, best, avg) fingerprints.
+    JSON parse -> object-graph compile -> per-problem BatchEvaluator,
+    single process; with ``simulations`` a per-problem §V Monte Carlo
+    on top, exactly as ``repro batch --simulate N`` computed it.
+    Returns the per-workspace (name, best, avg) fingerprints.
     """
-    workspace.clear_compile_cache()
     fingerprints = []
     for path in paths:
-        compiled = workspace.load_compiled(path)
+        compiled = compile_problem(workspace.load(path))
         evaluator = BatchEvaluator(compiled)
         best = evaluator.evaluate().best
         if simulations:

@@ -11,11 +11,11 @@ Subcommands map onto the paper's workflow:
   pipeline over the synthetic multimedia corpus.
 * ``repro workspace save/load`` — GMAA-style JSON workspaces.
 * ``repro batch [WORKSPACE ...]`` — evaluate a whole registry of
-  decision problems in one call through the vectorized batch engine
-  (compile once per problem, array-program evaluation, optional
-  Monte Carlo per problem).  ``--workers N`` engages the sharded
-  runtime and, by default, the persistent registry index
-  (``--no-cache`` / ``--refresh`` control it).
+  decision problems in one call through the sharded runtime (stacked
+  array programs, optional Monte Carlo per problem, ``--workers N``
+  processes, default 1) and the persistent registry index
+  (``--no-cache`` / ``--refresh`` control it); with no arguments, the
+  built-in case study.
 * ``repro index build|status|vacuum|doctor DIR`` — manage the sqlite
   registry index that caches batch results across runs; ``doctor``
   checks integrity, rebuilds a corrupted database and re-probes
@@ -136,6 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch = sub.add_parser(
         "batch",
         help="evaluate many decision problems in one call (batch engine)",
+        description=(
+            "Every run goes through the sharded runtime with --workers "
+            "defaulting to 1 (in-process) and consults the registry "
+            "index unless --no-cache.  With no WORKSPACE the built-in "
+            "case study is evaluated."
+        ),
     )
     p_batch.add_argument(
         "workspaces",
@@ -172,16 +178,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "evaluate the registry through the sharded runtime: stack "
-            "same-shape problems, run shards across N processes (1 = "
-            "in-process, same merged output), mmap-load persisted "
-            "compiled artifacts"
+            "worker processes for the sharded runtime (default: 1 = "
+            "in-process; the merged output is the same for any N)"
         ),
     )
     p_batch.add_argument(
         "--no-disk-cache",
         action="store_true",
-        help="with --workers: skip the .npz compiled-artifact cache",
+        help="skip the .npz compiled-artifact cache",
     )
     p_batch.add_argument(
         "--index",
@@ -191,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "registry index database for cross-run result caching "
             "(default: .repro-index.sqlite in the registry's common "
-            "directory); implies the sharded runtime"
+            "directory)"
         ),
     )
     p_batch.add_argument(
@@ -207,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "re-evaluate every workspace and overwrite its cached "
-            "results in the registry index; implies the sharded runtime"
+            "results in the registry index"
         ),
     )
     p_batch.add_argument(
@@ -218,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "repro-members/1 roster file: additionally compute each "
             "workspace's group-decision result (consensus/Borda) over "
-            "the members tensor axis; implies the sharded runtime"
+            "the members tensor axis"
         ),
     )
     p_batch.add_argument(
@@ -228,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
             "watch the registry: re-poll the workspace files (or "
             "directories, re-expanded every cycle) each --interval "
             "seconds, incrementally re-evaluate only what changed, and "
-            "print one delta report per cycle; implies the sharded "
-            "runtime and the registry index"
+            "print one delta report per cycle; needs the registry index"
         ),
     )
     p_batch.add_argument(
@@ -255,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
             "record a span trace of the run (workspace load/compile, "
             "eval stages, index probe/commit, worker chunks) and write "
             "it as a Chrome trace-event JSON file viewable in Perfetto "
-            "or chrome://tracing; implies the sharded runtime"
+            "or chrome://tracing"
         ),
     )
     p_batch.add_argument(
@@ -263,8 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "print a per-stage wall-time breakdown after the table "
-            "(with --follow: one stage line per cycle); implies the "
-            "sharded runtime"
+            "(with --follow: one stage line per cycle)"
         ),
     )
 
@@ -623,95 +625,8 @@ def _cmd_simulate(
     return header + "\n" + figures.figure_10(problem, result)
 
 
-def _cmd_batch(
-    workspaces: Sequence[str],
-    objectives: bool,
-    simulations: int,
-    method: str,
-    seed: int,
-) -> "tuple[str, int]":
-    """Evaluate a registry of problems through the batch engine.
-
-    Every problem is compiled once (through the workspace LRU compile
-    cache) and all downstream numbers — the Fig. 6-style ranking and
-    the optional per-problem Monte Carlo — come out of the engine's
-    stacked kernels through the one-problem
-    :class:`~repro.core.engine.BatchEvaluator` view.
-    """
-    from .core.engine import BatchEvaluator
-    from .core.runtime import expand_registry_source
-    from .core.workspace import (
-        compile_cache_info,
-        compile_cached,
-        load_compiled,
-    )
-
-    compiled_problems = []
-    skipped = []
-    if workspaces:
-        for path in expand_registry_source(workspaces):
-            try:
-                compiled_problems.append(load_compiled(path))
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                skipped.append((path, f"{type(exc).__name__}: {exc}"))
-    else:
-        compiled_problems.append(compile_cached(multimedia_problem()))
-    if objectives:
-        expanded = []
-        for compiled in compiled_problems:
-            expanded.append(compiled)
-            for child in compiled.problem.hierarchy.root.children:
-                expanded.append(
-                    compile_cached(compiled.problem.restricted_to(child.name))
-                )
-        compiled_problems = expanded
-
-    headers, align = _batch_table_spec(simulations)
-    rows = []
-    for compiled in compiled_problems:
-        evaluator = BatchEvaluator(compiled)
-        best = evaluator.evaluate().best
-        mc = None
-        if simulations:
-            result = evaluator.simulate(
-                method=method,
-                n_simulations=simulations,
-                seed=seed,
-                sample_utilities="missing",
-            )
-            mc = (
-                len(result.ever_best()),
-                result.max_fluctuation(result.top_k_by_mean(5)),
-            )
-        rows.append(
-            _batch_row(
-                compiled.name,
-                evaluator.n_alternatives,
-                evaluator.n_attributes,
-                best.name,
-                best.average,
-                best.minimum,
-                best.maximum,
-                mc,
-            )
-        )
-    info = compile_cache_info()
-    footer = _batch_footer(
-        len(compiled_problems),
-        simulations,
-        method,
-        skipped,
-        extra=f"; compile cache: {info['hits']} hits, {info['misses']} misses",
-    )
-    return (
-        render_table(headers, rows, align_left=align) + footer,
-        _batch_exit_code(len(compiled_problems), skipped),
-    )
-
-
-# The sequential and sharded batch paths must render byte-identical
-# tables for identical inputs (pinned by tests), so the table shape,
-# row formatting and footer live in exactly one place.
+# The batch table shape, row formatting and footer live in exactly one
+# place, shared by `repro batch` and `repro chaos`.
 
 def _batch_table_spec(simulations: int, group: bool = False):
     """(headers, align) of the batch table, +MC/group columns as needed."""
@@ -769,16 +684,11 @@ def _group_cells(result) -> tuple:
 
 
 def _batch_footer(
-    n_problems: int,
-    simulations: int,
-    method: str,
-    skipped,
-    extra: str = "",
+    n_problems: int, simulations: int, method: str, skipped
 ) -> str:
     return (
         f"\nevaluated {n_problems} problem(s)"
         + (f", {simulations} simulations each ({method})" if simulations else "")
-        + extra
         + _skipped_footer(skipped)
     )
 
@@ -838,8 +748,8 @@ def _run_sharded(runner, workspaces, index, refresh):
     return runner.run(workspaces)
 
 
-def _cmd_batch_sharded(
-    workspaces: Sequence[str],
+def _cmd_batch(
+    workspaces: Optional[Sequence[str]],
     objectives: bool,
     simulations: int,
     method: str,
@@ -853,40 +763,42 @@ def _cmd_batch_sharded(
     trace_path: Optional[str] = None,
     stats: bool = False,
 ) -> "tuple[str, int]":
-    """``repro batch --workers N``: the sharded multi-problem runtime.
+    """``repro batch``: evaluate a registry through the sharded runtime.
 
-    Same table as the sequential path, computed through
-    :class:`~repro.core.runtime.ShardedRunner`: same-shape problems
-    stack into one tensor program, shards run across processes, and
-    compiled arrays mmap-load from the ``.npz`` artifacts.  Unless
-    ``--no-cache`` was given, the run consults the persistent registry
-    index first — unchanged workspaces with cached results for this
-    configuration skip evaluation entirely.  The merged output is
-    byte-identical for any worker count and any cache state.  With
-    ``--group`` every row additionally reports the roster's group best
-    and Borda best, evaluated over the members tensor axis.  With
-    ``--trace``/``--stats`` the run is recorded through
-    :mod:`repro.obs.trace` — worker-side spans included — and exported
-    as a Chrome trace file / per-stage breakdown; tracing never
-    changes the table.
+    Every run goes through :class:`~repro.core.runtime.ShardedRunner`:
+    same-shape problems stack into one tensor program, shards run
+    across ``workers`` processes (1 = in-process), and compiled arrays
+    mmap-load from the ``.npz`` artifacts.  Unless ``--no-cache`` was
+    given, the run consults the persistent registry index first —
+    unchanged workspaces with cached results for this configuration
+    skip evaluation entirely.  The merged output is byte-identical for
+    any worker count and any cache state.  ``workspaces=None`` (no
+    arguments) evaluates the built-in case study in-process through the
+    same evaluation loop.  With ``--group`` every row additionally
+    reports the roster's group best and Borda best, evaluated over the
+    members tensor axis.  With ``--trace``/``--stats`` the run is
+    recorded through :mod:`repro.obs.trace` — worker-side spans
+    included — and exported as a Chrome trace file / per-stage
+    breakdown; tracing never changes the table.
     """
     import json as _json
 
     from .core.engine import GroupResult
-    from .core.runtime import BatchOptions, ShardedRunner
+    from .core.runtime import BatchOptions, ShardedRunner, evaluate_problems
 
-    runner = ShardedRunner(
-        workers=workers,
-        options=BatchOptions(
-            objectives=objectives,
-            simulations=simulations,
-            method=method,
-            seed=seed,
-            use_disk_cache=use_disk_cache,
-            group=group_spec,
-        ),
+    options = BatchOptions(
+        objectives=objectives,
+        simulations=simulations,
+        method=method,
+        seed=seed,
+        use_disk_cache=use_disk_cache,
+        group=group_spec,
     )
-    index = _open_registry_index(workspaces, index_path) if use_index else None
+    index = (
+        _open_registry_index(workspaces, index_path)
+        if use_index and workspaces
+        else None
+    )
     tracer = None
     if trace_path or stats:
         from .obs import trace as obs_trace
@@ -894,7 +806,11 @@ def _cmd_batch_sharded(
         tracer = obs_trace.Tracer()
         obs_trace.install(tracer)
     try:
-        report = _run_sharded(runner, workspaces, index, refresh)
+        if workspaces is None:
+            report = evaluate_problems([multimedia_problem()], options)
+        else:
+            runner = ShardedRunner(workers=workers, options=options)
+            report = _run_sharded(runner, workspaces, index, refresh)
     finally:
         if tracer is not None:
             from .obs import trace as obs_trace
@@ -1087,27 +1003,6 @@ def _cmd_batch_follow(
     return 0
 
 
-def _registry_workspaces(registry: str, index_path: Optional[str]) -> list:
-    """Every workspace JSON under a registry directory, sorted.
-
-    The index database (and its default filename anywhere under the
-    tree) is excluded — it is a sibling file, not a workspace.
-    """
-    from .core.index import DEFAULT_INDEX_FILENAME
-
-    root = Path(registry)
-    if not root.is_dir():
-        raise SystemExit(f"not a registry directory: {registry}")
-    db_path = (
-        Path(index_path).resolve()
-        if index_path
-        else (root / DEFAULT_INDEX_FILENAME).resolve()
-    )
-    return sorted(
-        str(p) for p in root.rglob("*.json") if p.resolve() != db_path
-    )
-
-
 def _cmd_group(
     registry: str,
     members_path: str,
@@ -1130,13 +1025,19 @@ def _cmd_group(
 
     from .core.engine import GroupResult
     from .core.group import load_members
-    from .core.runtime import BatchOptions, ShardedRunner
+    from .core.runtime import (
+        BatchOptions,
+        ShardedRunner,
+        expand_registry_source,
+    )
 
     try:
         spec = load_members(members_path)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"cannot load members file: {exc}") from exc
-    workspaces = _registry_workspaces(registry, index_path)
+    if not Path(registry).is_dir():
+        raise SystemExit(f"not a registry directory: {registry}")
+    workspaces = expand_registry_source(registry, index_path)
     if not workspaces:
         raise SystemExit(f"no workspace JSON files under {registry}")
 
@@ -1206,6 +1107,7 @@ def _cmd_index(action: str, registry: str, index_path: Optional[str]) -> str:
     again, and sweeps stray temp artifacts.
     """
     from .core.index import DEFAULT_INDEX_FILENAME, RegistryIndex
+    from .core.runtime import expand_registry_source
 
     root = Path(registry)
     if not root.is_dir():
@@ -1219,8 +1121,7 @@ def _cmd_index(action: str, registry: str, index_path: Optional[str]) -> str:
         )
     with RegistryIndex(db_path) as index:
         if action == "build":
-            paths = _registry_workspaces(registry, index_path)
-            counts = index.build(paths)
+            counts = index.build(expand_registry_source(root, db_path))
             return (
                 f"indexed {sum(counts.values()) - counts['error']} "
                 f"workspace(s) into {db_path}\n"
@@ -1253,8 +1154,7 @@ def _cmd_index(action: str, registry: str, index_path: Optional[str]) -> str:
                 )
             return text
         if action == "doctor":
-            paths = _registry_workspaces(registry, index_path)
-            report = index.doctor(paths)
+            report = index.doctor(expand_registry_source(root, db_path))
             counts = report["build_counts"]
             lines = [
                 f"doctor {db_path}",
@@ -1305,10 +1205,17 @@ def _cmd_chaos(
     from dataclasses import replace
 
     from .core import faults as _faults
-    from .core.runtime import BatchOptions, RetryPolicy, ShardedRunner
+    from .core.runtime import (
+        BatchOptions,
+        RetryPolicy,
+        ShardedRunner,
+        expand_registry_source,
+    )
 
     plan = _faults.named_plan(plan_name, seed=seed)
-    workspaces = _registry_workspaces(registry, None)
+    if not Path(registry).is_dir():
+        raise SystemExit(f"not a registry directory: {registry}")
+    workspaces = expand_registry_source(registry)
     if not workspaces:
         raise SystemExit(f"no workspace *.json files under {registry}")
     options = BatchOptions(simulations=simulations)
@@ -1708,47 +1615,41 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     group_spec=group_spec,
                     stats=args.stats,
                 )
-            registry_mode = (
+            workspaces = None
+            if args.workspaces:
+                from .core.runtime import expand_registry_source
+
+                workspaces = expand_registry_source(
+                    args.workspaces, args.index_path
+                )
+            if not workspaces and (
                 args.workers is not None
                 or args.index_path is not None
                 or args.refresh
                 or group_spec is not None
                 or args.trace_path is not None
                 or args.stats
+            ):
+                raise SystemExit(
+                    "batch --workers/--index/--refresh/--group/"
+                    "--trace/--stats needs explicit workspace files "
+                    "or a registry directory"
+                )
+            output, exit_code = _cmd_batch(
+                workspaces,
+                args.objectives,
+                args.simulate,
+                args.method,
+                args.seed,
+                args.workers if args.workers is not None else 1,
+                not args.no_disk_cache,
+                index_path=args.index_path,
+                use_index=not args.no_cache,
+                refresh=args.refresh,
+                group_spec=group_spec,
+                trace_path=args.trace_path,
+                stats=args.stats,
             )
-            if registry_mode:
-                from .core.runtime import expand_registry_source
-
-                workspaces = expand_registry_source(args.workspaces)
-                if not workspaces:
-                    raise SystemExit(
-                        "batch --workers/--index/--refresh/--group/"
-                        "--trace/--stats needs explicit workspace files "
-                        "or a registry directory"
-                    )
-                output, exit_code = _cmd_batch_sharded(
-                    workspaces,
-                    args.objectives,
-                    args.simulate,
-                    args.method,
-                    args.seed,
-                    args.workers if args.workers is not None else 1,
-                    not args.no_disk_cache,
-                    index_path=args.index_path,
-                    use_index=not args.no_cache,
-                    refresh=args.refresh,
-                    group_spec=group_spec,
-                    trace_path=args.trace_path,
-                    stats=args.stats,
-                )
-            else:
-                output, exit_code = _cmd_batch(
-                    args.workspaces,
-                    args.objectives,
-                    args.simulate,
-                    args.method,
-                    args.seed,
-                )
             print(output)
             return exit_code
         if args.command == "pipeline":

@@ -72,7 +72,7 @@ from .weights import (
     swing_weights,
     tradeoff_intervals,
 )
-from .workspace import compile_cached, load, load_compiled, save
+from .workspace import load, save
 
 __all__ = [
     # batch engine
@@ -80,8 +80,6 @@ __all__ = [
     "CompiledProblem",
     "compile_problem",
     "rank_matrix",
-    "compile_cached",
-    "load_compiled",
     # interval
     "Interval",
     "hull",

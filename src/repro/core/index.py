@@ -191,11 +191,11 @@ def eval_config_hash(options) -> str:
     Hashes exactly the :class:`~repro.core.runtime.BatchOptions` fields
     that determine a run's *numbers* — ``objectives``, ``simulations``,
     (only when simulating) ``method`` and ``seed``, and (only for group
-    runs) the member-roster digest.  Transport
-    knobs (``use_disk_cache``, ``refresh_cache``) and the
-    worker/chunk layout never influence results (the PR 2 determinism
-    contract), so they are deliberately excluded: the same registry
-    evaluated with any worker count shares one cache entry.
+    runs) the member-roster digest.  The transport knob
+    ``use_disk_cache`` and the worker/chunk layout never influence
+    results (the PR 2 determinism contract), so they are deliberately
+    excluded: the same registry evaluated with any worker count shares
+    one cache entry.
 
     Parameters
     ----------
@@ -752,7 +752,8 @@ class RegistryIndex:
         workspace is ingested once
         (:func:`~repro.core.workspace.ingest`, reusing the bytes the
         ladder read); with ``warm_artifact`` the compiled arrays are
-        also (re)persisted so the next batch run's workers mmap them.
+        also (re)persisted so the next batch run's workers mmap them (a
+        failed write only leaves the row without an artifact sha).
         Returns ``(record, ingested)``: ``ingested`` is the parsed
         bundle when one was needed (``None`` from an artifact), so the
         caller can delta-compile without reading the file again;
@@ -774,14 +775,11 @@ class RegistryIndex:
         except _LOAD_ERRORS:
             return None, None
         npz_sha = None
-        if warm_artifact:
-            _workspace.save_compiled_arrays(
-                compile_problem(ingested.problem),
-                _workspace.compiled_array_path(evidence.path),
-                ingested.source_sha,
-                ingested.content_hash,
-                component_json=ingested.component_json,
-            )
+        if warm_artifact and _workspace._persist_artifact(
+            compile_problem(ingested.problem),
+            _workspace.compiled_array_path(evidence.path),
+            ingested,
+        ):
             npz_sha = ingested.source_sha
         record = self.fingerprint(
             evidence.path, evidence.st, ingested.identity, npz_sha

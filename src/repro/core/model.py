@@ -135,9 +135,9 @@ class AdditiveModel:
             compiled.alternative_names != problem.table.alternative_names
             or compiled.attribute_names != problem.hierarchy.attribute_names
         ):
-            # A content-addressed cache (workspace.compile_cached) may
-            # hand back a compiled form built from a different-but-equal
-            # problem object; only reject structural mismatches.
+            # A compiled form built from a different-but-equal problem
+            # object (e.g. read off a workspace's .npz artifact) is
+            # fine; only reject structural mismatches.
             raise ValueError("compiled form belongs to a different problem")
         self.compiled = compiled
         self._evaluator = BatchEvaluator(compiled)

@@ -24,6 +24,11 @@ report is byte-identical for any worker count, chunk size or completion
 order.  Unreadable registry entries are reported and skipped, never
 fatal.
 
+Every ``repro batch`` run is a :meth:`ShardedRunner.run` (``--workers``
+defaults to 1, in-process); problems that have no workspace file (the
+built-in case study) take the same evaluation loop through
+:func:`evaluate_problems`.
+
 A fourth layer sits above the three: passing a
 :class:`~repro.core.index.RegistryIndex` to :meth:`ShardedRunner.run`
 adds **cross-run result caching** — workspaces whose content hash and
@@ -88,6 +93,7 @@ __all__ = [
     "shard_registry",
     "ChunkOutcome",
     "evaluate_registry_chunk",
+    "evaluate_problems",
     "expand_registry_source",
 ]
 
@@ -122,7 +128,6 @@ class BatchOptions:
     method: str = "intervals"
     seed: Optional[int] = None
     use_disk_cache: bool = True
-    refresh_cache: bool = True
     group: Optional[Tuple[Tuple[str, Tuple[Tuple[str, float, float], ...]], ...]] = None
     #: A :class:`~repro.core.faults.FaultPlan` to run under (chaos
     #: testing only).  Travels to the workers with the options, is
@@ -336,15 +341,21 @@ class WatchCycle:
     report: RegistryReport
 
 
-def expand_registry_source(source) -> List[str]:
-    """Resolve a watch source to this instant's registry paths.
+def expand_registry_source(
+    source, exclude: Optional[Union[str, Path]] = None
+) -> List[str]:
+    """Resolve a registry source to this instant's workspace paths.
 
     ``source`` is a directory, a workspace file, or a sequence of
-    either; directories expand recursively to their sorted ``*.json``
-    files (hidden files — e.g. the index database's WAL siblings —
-    excluded).  Called once per watch cycle, so files created, renamed
-    or deleted between cycles are picked up.
+    either; directories expand recursively to their ``*.json`` files,
+    sorted as strings, with hidden files (e.g. the index database's
+    WAL siblings) and the ``exclude`` file (an explicit ``--index``
+    path that ends in ``.json``) left out.  The one registry walk of
+    every verb, the service listing and ``pull``; a watch calls it
+    once per cycle, so files created, renamed or deleted between
+    cycles are picked up.
     """
+    excluded = Path(exclude).resolve() if exclude is not None else None
     entries = (
         [source] if isinstance(source, (str, Path)) else list(source)
     )
@@ -357,6 +368,11 @@ def expand_registry_source(source) -> List[str]:
                     str(p)
                     for p in root.rglob("*.json")
                     if not p.name.startswith(".")
+                    and not (
+                        excluded is not None
+                        and p.name == excluded.name
+                        and p.resolve() == excluded
+                    )
                 )
             )
         else:
@@ -395,6 +411,44 @@ def shard_registry(
 # Chunk evaluation (runs inside workers; top-level for picklability)
 # ----------------------------------------------------------------------
 
+def _expand(
+    index: int, path: str, problem, options: BatchOptions
+) -> List[tuple]:
+    """One parsed entry's ``(index, sub_index, path, compiled, roster)``
+    tuples: the whole problem, then with ``options.objectives`` each
+    top-level objective restriction (the Fig. 7 view).
+
+    ``roster`` is the problem's
+    :class:`~repro.core.engine.CompiledRoster` when ``options.group``
+    carries a member spec and ``None`` otherwise; rosters resolve
+    against the problem's own hierarchy, and structurally identical
+    hierarchies share one resolved roster through the group module's
+    LRU.  The whole expansion is built before the caller publishes any
+    of it, so an entry never ends up both evaluated (partial rows) and
+    skipped when a restriction fails to compile.
+    """
+    roster = None
+    if options.group is not None:
+        from .group import compiled_roster_for
+
+        roster = compiled_roster_for(options.group, problem.hierarchy)
+    expansion = [(index, 0, path, compile_problem(problem), roster)]
+    if options.objectives:
+        expansion += [
+            (
+                index,
+                sub,
+                path,
+                compile_problem(problem.restricted_to(child.name)),
+                None,
+            )
+            for sub, child in enumerate(
+                problem.hierarchy.root.children, start=1
+            )
+        ]
+    return expansion
+
+
 def _load_chunk_problems(
     chunk: Sequence[Tuple[int, str]],
     options: BatchOptions,
@@ -403,72 +457,38 @@ def _load_chunk_problems(
     """((index, sub_index, path, compiled, roster) list, skipped list,
     identities).
 
-    ``roster`` is the workspace's
-    :class:`~repro.core.engine.CompiledRoster` when ``options.group``
-    carries a member spec (resolved against the workspace's own
-    hierarchy) and ``None`` otherwise.  ``identities`` maps every
-    registry index in ``identify`` that loaded to its
+    Expansions and rosters need the object graph, so ``objectives`` and
+    ``group`` runs (and ``use_disk_cache=False``) parse the workspace
+    JSON; the rest load through the ``.npz`` fast path.  ``identities``
+    maps every registry index in ``identify`` that loaded to its
     :class:`~repro.core.workspace.Identity`, read off the artifact or
     derived by the one :func:`~repro.core.workspace.ingest` that parsed
     the file.
     """
     from . import workspace
 
-    def parse(index: int, path: str):
-        if index in identify:
-            ingested = workspace.ingest(path)
-            return ingested.problem, ingested.identity
-        return workspace.load(path), None
-
+    parse_graph = (
+        options.objectives
+        or options.group is not None
+        or not options.use_disk_cache
+    )
     loaded = []
     skipped: List[SkippedWorkspace] = []
     identities: Dict[int, "workspace.Identity"] = {}
     for index, path in chunk:
         try:
-            if options.objectives:
-                problem, identity = parse(index, path)
-                # Build the whole expansion before publishing any of it,
-                # so a workspace never ends up both evaluated (partial
-                # rows) and skipped when a restriction fails to compile.
-                expansion = [(index, 0, path, compile_problem(problem), None)]
-                for sub, child in enumerate(
-                    problem.hierarchy.root.children, start=1
-                ):
-                    expansion.append(
-                        (
-                            index,
-                            sub,
-                            path,
-                            compile_problem(
-                                problem.restricted_to(child.name)
-                            ),
-                            None,
-                        )
-                    )
-                loaded.extend(expansion)
-            elif options.group is not None:
-                from .group import compiled_roster_for
-
-                # Rosters resolve against the workspace's hierarchy, so
-                # group runs parse the object graph like `objectives`;
-                # structurally identical hierarchies share one resolved
-                # roster through the group module's LRU.
-                problem, identity = parse(index, path)
-                roster = compiled_roster_for(
-                    options.group, problem.hierarchy
-                )
-                loaded.append(
-                    (index, 0, path, compile_problem(problem), roster)
-                )
-            elif options.use_disk_cache:
+            if not parse_graph:
                 compiled, identity = workspace.load_compiled_with_identity(
-                    path, refresh=options.refresh_cache
+                    path
                 )
                 loaded.append((index, 0, path, compiled, None))
+            elif index in identify:
+                ingested = workspace.ingest(path)
+                identity = ingested.identity
+                loaded.extend(_expand(index, path, ingested.problem, options))
             else:
-                problem, identity = parse(index, path)
-                loaded.append(
-                    (index, 0, path, compile_problem(problem), None)
+                loaded.extend(
+                    _expand(index, path, workspace.load(path), options)
                 )
             if index in identify:
                 identities[index] = identity
@@ -585,10 +605,7 @@ def evaluate_registry_chunk(
                 loaded, skipped, identities = _load_chunk_problems(
                     chunk, options, identify
                 )
-            if loaded:
-                results, n_stacks = _evaluate_loaded(loaded, options)
-            else:
-                results, n_stacks = [], 0
+            results, n_stacks = _evaluate_loaded(loaded, options)
     finally:
         if tracer is not None:
             _trace.uninstall()
@@ -677,6 +694,45 @@ def _evaluate_loaded(
                 )
             )
     return results, len(stacks)
+
+
+def evaluate_problems(
+    problems: Sequence[object], options: BatchOptions
+) -> RegistryReport:
+    """Evaluate in-memory decision problems the way a registry run does.
+
+    For problems that have no workspace file (``repro batch`` with no
+    arguments evaluates the built-in case study): each problem is
+    registry entry ``i`` with an empty ``path``, expanded and
+    evaluated in-process through the same loop as a chunk, so its rows
+    equal those of a run over the problem's saved workspace.
+    """
+    _check_options(options)
+    loaded = [
+        item
+        for i, problem in enumerate(problems)
+        for item in _expand(i, "", problem, options)
+    ]
+    results, n_stacks = _evaluate_loaded(loaded, options)
+    results.sort(key=lambda r: r.order_key)
+    return RegistryReport(
+        results=tuple(results),
+        skipped=(),
+        n_workspaces=len(problems),
+        n_stacks=n_stacks,
+        n_chunks=0,
+        workers=1,
+    )
+
+
+def _check_options(options: BatchOptions) -> None:
+    """Reject option combinations no run can evaluate."""
+    if options.group is not None and options.objectives:
+        raise ValueError(
+            "group and objectives runs are mutually exclusive: a "
+            "member roster applies to whole workspaces, not to "
+            "per-objective restrictions"
+        )
 
 
 def _from_cached(
@@ -791,12 +847,7 @@ class ShardedRunner:
         refresh: bool = False,
     ) -> RegistryReport:
         """The :meth:`run` body (wrapped in the ``registry.run`` span)."""
-        if self.options.group is not None and self.options.objectives:
-            raise ValueError(
-                "group and objectives runs are mutually exclusive: a "
-                "member roster applies to whole workspaces, not to "
-                "per-objective restrictions"
-            )
+        _check_options(self.options)
         indexed = [(i, str(p)) for i, p in enumerate(paths)]
         cached_results: List[WorkspaceResult] = []
         quarantine_skipped: List[SkippedWorkspace] = []
@@ -1338,14 +1389,6 @@ class ShardedRunner:
             )
         index.record_run(to_record.values(), store, config_hash)
 
-    def with_options(self, **changes) -> "ShardedRunner":
-        """A runner with the same pool shape and updated options."""
-        return ShardedRunner(
-            workers=self.workers,
-            chunk_size=self.chunk_size,
-            options=replace(self.options, **changes),
-        )
-
     def watch(
         self,
         source,
@@ -1410,7 +1453,7 @@ class ShardedRunner:
                         f"cycle:{len(cycles) + 1}",
                         attempt=poll_failures,
                     )
-                paths = expand_registry_source(source)
+                paths = expand_registry_source(source, index.db_path)
                 report = self.run(paths, index=index)
             except OSError as exc:
                 poll_failures += 1

@@ -14,13 +14,13 @@ parse, and one :func:`to_dict` for the semantic ``content_hash`` and
 the per-component table — the keys of every index row and compiled
 artifact.
 
-Two compile-cache layers also live here (see ``docs/caching.md``): an
-in-process LRU keyed by the canonical workspace JSON
-(:func:`compile_cached`) and persisted compiled-artifact siblings (flat
-checksummed files, still named ``.npz``) keyed by raw-byte and semantic
-sha256 (:func:`load_compiled_fast`).  The cross-run *result* cache — the
-registry index — builds on the same ``content_hash`` and lives in
-:mod:`repro.core.index`.
+The compile cache also lives here (see ``docs/caching.md``):
+persisted compiled-artifact siblings (flat checksummed files, still
+named ``.npz``) keyed by raw-byte and semantic sha256
+(:func:`load_compiled_fast`).  An artifact that cannot be written (a
+read-only registry) is a cache miss, never an error.  The cross-run
+*result* cache — the registry index — builds on the same
+``content_hash`` and lives in :mod:`repro.core.index`.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ import json
 import math
 import mmap
 import os
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from ..obs import metrics as _metrics
 from ..obs import stage as _stage
 from . import faults
 from .engine import CompiledProblem, compile_problem, delta_compile
@@ -58,18 +58,12 @@ __all__ = [
     "ingest",
     "FORMAT",
     "COMPILED_FORMAT",
-    "canonical_key",
     "content_hash",
-    "compile_cached",
-    "load_compiled",
-    "compile_cache_info",
-    "clear_compile_cache",
     "compiled_array_path",
     "save_compiled_arrays",
     "load_compiled_arrays",
     "load_compiled_fast",
     "load_compiled_with_identity",
-    "warm_compiled_cache",
     "component_hashes",
     "component_json",
     "DeltaLoad",
@@ -313,85 +307,16 @@ def load(
     return from_dict(json.loads(raw))
 
 
-# ----------------------------------------------------------------------
-# Compile cache
-# ----------------------------------------------------------------------
-#
-# Lowering a problem into the batch engine's dense arrays walks the
-# whole object graph once per problem; a repository-scale batch run
-# (``repro batch``) evaluates the same workspaces again and again, so
-# the compiled forms are memoised here.  The cache key is *semantic* —
-# the canonical workspace JSON — so two problems with identical content
-# share one compiled form regardless of which file or constructor they
-# came from.
-
-_COMPILE_CACHE_CAPACITY = 128
-_compile_cache: "OrderedDict[str, CompiledProblem]" = OrderedDict()
-_compile_hits = 0
-_compile_misses = 0
-
-
 def _canonical(payload: Any) -> str:
     """Canonical JSON text: sorted keys, no whitespace."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def canonical_key(problem: DecisionProblem) -> str:
-    """The content-addressed cache key: canonical workspace JSON."""
-    return _canonical(to_dict(problem))
-
-
-def compile_cached(problem: DecisionProblem) -> CompiledProblem:
-    """The LRU-cached compiled form of ``problem``.
-
-    Returns the same :class:`~repro.core.engine.CompiledProblem` for
-    every problem whose workspace serialisation matches; least
-    recently used entries are evicted past the cache capacity.
-    """
-    global _compile_hits, _compile_misses
-    key = canonical_key(problem)
-    cached = _compile_cache.get(key)
-    if cached is not None:
-        _compile_cache.move_to_end(key)
-        _compile_hits += 1
-        return cached
-    _compile_misses += 1
-    compiled = compile_problem(problem)
-    _compile_cache[key] = compiled
-    while len(_compile_cache) > _COMPILE_CACHE_CAPACITY:
-        _compile_cache.popitem(last=False)
-    return compiled
-
-
-def load_compiled(path: Union[str, Path]) -> CompiledProblem:
-    """Load a workspace file straight into its compiled form (cached)."""
-    return compile_cached(load(path))
-
-
-def compile_cache_info() -> Dict[str, int]:
-    """Hit/miss/size counters, in the spirit of ``lru_cache.cache_info``."""
-    return {
-        "hits": _compile_hits,
-        "misses": _compile_misses,
-        "size": len(_compile_cache),
-        "capacity": _COMPILE_CACHE_CAPACITY,
-    }
-
-
-def clear_compile_cache() -> None:
-    """Drop every cached compiled form and reset the counters."""
-    global _compile_hits, _compile_misses
-    _compile_cache.clear()
-    _compile_hits = 0
-    _compile_misses = 0
 
 
 # ----------------------------------------------------------------------
 # Persisted compiled artifacts (a flat file next to the workspace JSON)
 # ----------------------------------------------------------------------
 #
-# The in-memory LRU above only helps within one process.  A sharded
-# batch run (:mod:`repro.core.runtime`) cold-starts many worker
+# A batch run (:mod:`repro.core.runtime`) cold-starts its worker
 # processes, each of which would otherwise re-parse and re-compile
 # every workspace JSON.  Persisting the compiled dense arrays as a
 # sibling of the workspace file turns that cold start into an ``mmap``
@@ -412,7 +337,11 @@ def clear_compile_cache() -> None:
 #   worker pools share pages instead of materialising per-process
 #   copies.  The file keeps the ``.npz`` name so registries written by
 #   older versions heal in place: an old zip fails the magic check,
-#   misses and is overwritten, leaving no orphan behind.
+#   misses and is overwritten, leaving no orphan behind;
+# * a write that fails (a read-only registry, a full disk) is counted
+#   in ``repro_artifact_write_errors_total`` and otherwise ignored: the
+#   compiled form is still returned and the next run simply misses
+#   again (:func:`_persist_artifact`).
 
 _ARRAY_FIELDS = (
     "u_low",
@@ -454,7 +383,7 @@ def _sha256(text: str) -> str:
 
 def content_hash(problem: DecisionProblem) -> str:
     """sha256 of the canonical workspace JSON — the semantic cache key."""
-    return _sha256(canonical_key(problem))
+    return _sha256(_canonical(to_dict(problem)))
 
 
 def _component_table(data: Mapping[str, Any]) -> Dict[str, str]:
@@ -840,6 +769,33 @@ def _fresh_artifact(
     return arrays, npz_path, source
 
 
+def _persist_artifact(
+    compiled: CompiledProblem, npz_path: Path, ingested: Ingested
+) -> bool:
+    """Write ``compiled``'s artifact; ``False`` when the write failed.
+
+    The artifact is a cache, so an ``OSError`` from the write is a
+    miss, not a failed workspace: it is counted once in
+    ``repro_artifact_write_errors_total`` and swallowed.
+    """
+    try:
+        save_compiled_arrays(
+            compiled,
+            npz_path,
+            ingested.source_sha,
+            ingested.content_hash,
+            component_json=ingested.component_json,
+        )
+    except OSError:
+        _metrics.registry().counter(
+            "repro_artifact_write_errors_total",
+            "Compiled-artifact writes that failed (the compiled form "
+            "was kept; the next run misses again).",
+        ).inc()
+        return False
+    return True
+
+
 def _compile_and_persist(
     path: Path,
     npz_path: Path,
@@ -851,25 +807,18 @@ def _compile_and_persist(
     ``workspace.parse`` and ``workspace.hash`` (:func:`ingest`),
     ``workspace.lower`` and ``artifact.write`` nested inside it.
     Returns the compiled form and the :class:`Ingested` bundle it came
-    from.
+    from, whether or not the artifact write succeeded.
     """
     with _stage("workspace.compile", path=str(path)):
         ingested = ingest(path, source)
         with _stage("workspace.lower"):
             compiled = compile_problem(ingested.problem)
-        save_compiled_arrays(
-            compiled,
-            npz_path,
-            ingested.source_sha,
-            ingested.content_hash,
-            component_json=ingested.component_json,
-        )
+        _persist_artifact(compiled, npz_path, ingested)
         return compiled, ingested
 
 
 def load_compiled_with_identity(
     path: Union[str, Path],
-    refresh: bool = True,
 ) -> Tuple[CompiledProblem, Identity]:
     """:func:`load_compiled_fast` plus the workspace's :class:`Identity`.
 
@@ -881,29 +830,22 @@ def load_compiled_with_identity(
     arrays, npz_path, source = _fresh_artifact(path)
     if arrays is not None:
         return _compiled_from_arrays(arrays), _artifact_identity(arrays)
-    if refresh:
-        compiled, ingested = _compile_and_persist(path, npz_path, source)
-    else:
-        ingested = ingest(path, source)
-        compiled = compile_problem(ingested.problem)
+    compiled, ingested = _compile_and_persist(path, npz_path, source)
     return compiled, ingested.identity
 
 
-def load_compiled_fast(
-    path: Union[str, Path],
-    refresh: bool = True,
-) -> CompiledProblem:
+def load_compiled_fast(path: Union[str, Path]) -> CompiledProblem:
     """Load a workspace's compiled form, via the ``.npz`` artifact.
 
     Fast path: when the sibling artifact exists and its recorded source
     hash matches the current JSON bytes, the compiled arrays come
     straight off disk (mmapped) — no JSON parse, no object graph, no
     utility evaluation.  Otherwise the workspace is compiled from JSON
-    and, with ``refresh``, the artifact is (re)written atomically.
+    and the artifact is (re)written atomically.
     The returned compiled form carries ``problem=None`` on the fast
     path; callers needing the object graph parse the JSON explicitly.
     """
-    return load_compiled_with_identity(path, refresh)[0]
+    return load_compiled_with_identity(path)[0]
 
 
 @dataclass(frozen=True)
@@ -931,7 +873,6 @@ def load_compiled_delta(
     path: Union[str, Path],
     old_content_hash: str,
     old_component_json: Optional[str],
-    persist: bool = True,
     ingested: Optional[Ingested] = None,
 ) -> Optional[DeltaLoad]:
     """Delta-compile an edited workspace against its cached artifact.
@@ -942,7 +883,7 @@ def load_compiled_delta(
     patch only the changed rows via
     :func:`~repro.core.engine.delta_compile`.  The rewritten artifact
     is published atomically so subsequent runs take the plain fast
-    path.
+    path; a failed write leaves the patched form valid.
 
     Returns ``None`` whenever delta compilation is not safe or not
     possible — missing/stale artifact, missing or unparsable component
@@ -998,14 +939,7 @@ def load_compiled_delta(
             )
     except (ValueError, KeyError):  # pragma: no cover - structure gate
         return None
-    if persist:
-        save_compiled_arrays(
-            compiled,
-            npz_path,
-            ingested.source_sha,
-            ingested.content_hash,
-            component_json=ingested.component_json,
-        )
+    _persist_artifact(compiled, npz_path, ingested)
     return DeltaLoad(
         compiled=compiled,
         problem=problem,
@@ -1016,21 +950,3 @@ def load_compiled_delta(
         changed_rows=changed_rows,
         changed_components=changed,
     )
-
-
-def warm_compiled_cache(paths) -> int:
-    """Ensure every workspace in ``paths`` has a fresh artifact.
-
-    Returns the number of artifacts (re)written.  Safe to run from
-    several processes at once — writes are atomic and idempotent.
-    """
-    written = 0
-    for path in paths:
-        path = Path(path)
-        # the freshness probe maps the artifact and reads its header;
-        # no tensor is copied
-        arrays, npz_path, source = _fresh_artifact(path)
-        if arrays is None:
-            _compile_and_persist(path, npz_path, source)
-            written += 1
-    return written

@@ -104,7 +104,11 @@ from ..core import workspace as _workspace
 from ..core.engine import BatchEvaluator, compile_problem
 from ..core.group import load_members, members_digest
 from ..core.index import RegistryIndex, eval_config_hash
-from ..core.runtime import BatchOptions, ShardedRunner
+from ..core.runtime import (
+    BatchOptions,
+    ShardedRunner,
+    expand_registry_source,
+)
 from ..obs import metrics as _obs_metrics
 from ..obs import span as _span
 from ..obs.metrics import PROMETHEUS_CONTENT_TYPE, render_prometheus
@@ -1097,20 +1101,14 @@ class ServiceApp:
     # Registry listing
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _registry_paths(state: RegistryState) -> List[Path]:
-        return sorted(
-            p
-            for p in state.root.rglob("*.json")
-            if p.resolve() != state.index_path.resolve()
-        )
-
     def _h_registry(self, request: Request) -> Response:
         """The workspace listing with identity fingerprints."""
         state = self._state_for(request)
         workspaces = []
         fresh_records = []
-        for path in self._registry_paths(state):
+        for path in map(
+            Path, expand_registry_source(state.root, state.index_path)
+        ):
             ws_id = path.relative_to(state.root).with_suffix("").as_posix()
             record, status = state.index.probe_with_status(path)
             if record is None:

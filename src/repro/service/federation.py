@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
 from ..core.index import DEFAULT_INDEX_FILENAME, RegistryIndex
+from ..core.runtime import expand_registry_source
 from .cache import ResponseCache
 
 __all__ = [
@@ -220,15 +221,6 @@ class PullReport:
         )
 
 
-def _registry_files(root: Path, index_path: Path) -> List[Path]:
-    """Every workspace JSON under ``root``, excluding the index db."""
-    return sorted(
-        path
-        for path in root.rglob("*.json")
-        if path.resolve() != index_path.resolve()
-    )
-
-
 def pull_registry(
     src_dir: Union[str, Path],
     dst_dir: Union[str, Path],
@@ -269,7 +261,7 @@ def pull_registry(
     )
     copied = updated = skipped = unreadable = 0
     sets_copied = sets_skipped = lineage_added = 0
-    files = _registry_files(src, src_db)
+    files = [Path(p) for p in expand_registry_source(src, src_db)]
     with RegistryIndex(src_db) as src_index, RegistryIndex(dst_db) as dst_index:
         for path in files:
             rel = path.relative_to(src)

@@ -149,7 +149,7 @@ class TestLoadCompiledDelta:
     def _persisted(self, tmp_path, problem):
         path = tmp_path / "ws.json"
         workspace.save(problem, path)
-        loaded = workspace.load_compiled(path)
+        loaded = compile_problem(workspace.load(path))
         workspace.save_compiled_arrays(
             loaded,
             workspace.compiled_array_path(path),

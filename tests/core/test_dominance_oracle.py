@@ -61,7 +61,7 @@ def test_preset_samples_match_oracle(name):
 
 def test_neon_shortlists_match_oracle(tmp_path):
     paths = genreg.neon_shortlist_registry(tmp_path, n_workspaces=8)
-    compiled = [workspace.load_compiled(p) for p in paths]
+    compiled = [compile_problem(workspace.load(p)) for p in paths]
     assert_matches_oracle(compiled)
     # Rank intervals follow the oracle matrix too.
     for c in compiled:

@@ -333,47 +333,20 @@ def test_vectorized_and_scalar_utilities_agree(levels, weight_spread, seed):
 
 
 class TestWorkspaceCompileCache:
-    def test_cache_hit_on_identical_content(self, tmp_path):
+    def test_cached_compiled_form_composes_with_additive_model(
+        self, tmp_path
+    ):
         from repro.core import workspace
 
-        workspace.clear_compile_cache()
-        problem = make_small_problem()
-        first = workspace.compile_cached(problem)
-        second = workspace.compile_cached(make_small_problem())
-        assert second is first
-        info = workspace.compile_cache_info()
-        assert info["hits"] == 1 and info["misses"] == 1
-
-    def test_load_compiled_roundtrip(self, tmp_path):
-        from repro.core import workspace
-
-        workspace.clear_compile_cache()
-        problem = make_small_problem()
         path = tmp_path / "small.json"
-        workspace.save(problem, path)
-        a = workspace.load_compiled(path)
-        b = workspace.load_compiled(path)
-        assert a is b
-        assert isinstance(a, CompiledProblem)
-        assert a.alternative_names == problem.alternative_names
-
-    def test_cached_compiled_form_composes_with_additive_model(self):
-        from repro.core import workspace
-
-        workspace.clear_compile_cache()
-        workspace.compile_cached(make_small_problem())
+        workspace.save(make_small_problem(), path)
+        workspace.load_compiled_fast(path)  # compiles, writes the artifact
+        cached = workspace.load_compiled_fast(path)  # read off the artifact
+        assert cached.problem is None
         fresh = make_small_problem()  # equal content, different object
-        model = AdditiveModel(fresh, workspace.compile_cached(fresh))
+        model = AdditiveModel(fresh, cached)
         assert model.evaluate().best.name == "premium"
         with pytest.raises(ValueError):
             AdditiveModel(
                 make_small_problem(), compile_problem(_random_problem([(1, 2)] * 2, 0.1))
             )
-
-    def test_different_content_misses(self):
-        from repro.core import workspace
-
-        workspace.clear_compile_cache()
-        workspace.compile_cached(make_small_problem())
-        workspace.compile_cached(make_small_problem(missing_cell=True))
-        assert workspace.compile_cache_info()["misses"] == 2

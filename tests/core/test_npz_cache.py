@@ -76,12 +76,6 @@ class TestRoundTrip:
         )
         assert np.array_equal(ranks_a, ranks_b)
 
-    def test_no_refresh_leaves_no_artifact(self, saved_workspace):
-        _, path = saved_workspace
-        compiled = workspace.load_compiled_fast(path, refresh=False)
-        assert compiled.n_alternatives == 3
-        assert not workspace.compiled_array_path(path).exists()
-
 
 class TestStaleHashInvalidation:
     def test_changed_json_recompiles_and_rewrites(self, saved_workspace):
@@ -161,17 +155,161 @@ class TestStaleHashInvalidation:
 
 class TestWarmCache:
     def test_warms_only_stale_entries(self, tmp_path):
+        # `repro index build` warms artifacts through RegistryIndex.build
+        from repro.core.index import RegistryIndex
+
         paths = []
         for i in range(3):
             path = tmp_path / f"ws{i}.json"
             workspace.save(make_small_problem(name=f"p{i}"), path)
             paths.append(path)
-        assert workspace.warm_compiled_cache(paths) == 3
-        assert workspace.warm_compiled_cache(paths) == 0  # all fresh
-        data = json.loads(paths[1].read_text())
-        data["name"] = "poked"
-        paths[1].write_text(json.dumps(data, sort_keys=True))
-        assert workspace.warm_compiled_cache(paths) == 1
+
+        def artifacts():
+            return [
+                workspace.compiled_array_path(p).stat().st_mtime_ns
+                for p in paths
+            ]
+
+        with RegistryIndex(tmp_path / "index.sqlite") as index:
+            assert index.build(paths)["new"] == 3
+            warmed = artifacts()
+            index.build(paths)
+            assert artifacts() == warmed  # all fresh: nothing rewritten
+            data = json.loads(paths[1].read_text())
+            data["name"] = "poked"
+            paths[1].write_text(json.dumps(data, sort_keys=True))
+            assert index.build(paths)["changed"] == 1
+        rewarmed = artifacts()
+        assert [a == b for a, b in zip(warmed, rewarmed)] == [
+            True,
+            False,
+            True,
+        ]
+        arrays = workspace.load_compiled_arrays(
+            workspace.compiled_array_path(paths[1])
+        )
+        assert arrays["problem_name"] == "poked"
+
+
+def _failing_write(*args, **kwargs):
+    raise PermissionError(13, "Permission denied")
+
+
+def _write_errors() -> float:
+    from repro.obs import metrics
+
+    return metrics.registry().counter(
+        "repro_artifact_write_errors_total", ""
+    ).value()
+
+
+class TestFailedWrite:
+    """A failed artifact write is a cache miss, not a failed workspace.
+
+    Root ignores ``chmod``, so a read-only registry is simulated by
+    making every artifact write raise ``PermissionError``.
+    """
+
+    @pytest.fixture()
+    def failing_writes(self, monkeypatch):
+        monkeypatch.setattr(workspace, "save_compiled_arrays", _failing_write)
+
+    @pytest.fixture()
+    def registry(self, tmp_path):
+        paths = []
+        for i in range(3):
+            path = tmp_path / f"ws-{i:02d}.json"
+            workspace.save(
+                make_small_problem(missing_cell=i % 2 == 0, name=f"ws-{i}"),
+                path,
+            )
+            paths.append(path)
+        return paths
+
+    def test_failed_write_leaves_no_artifact(
+        self, saved_workspace, failing_writes
+    ):
+        problem, path = saved_workspace
+        before = _write_errors()
+        compiled = workspace.load_compiled_fast(path)
+        assert np.array_equal(compiled.u_avg, compile_problem(problem).u_avg)
+        assert not workspace.compiled_array_path(path).exists()
+        assert _write_errors() == before + 1
+
+    def test_cold_run_equals_clean_run(
+        self, tmp_path, registry, monkeypatch
+    ):
+        from repro.core.index import RegistryIndex
+        from repro.core.runtime import BatchOptions, ShardedRunner
+
+        runner = ShardedRunner(
+            workers=1, options=BatchOptions(simulations=40, seed=3)
+        )
+        clean = runner.run(registry)
+        for path in registry:
+            workspace.compiled_array_path(path).unlink()
+        monkeypatch.setattr(workspace, "save_compiled_arrays", _failing_write)
+        with RegistryIndex(tmp_path / "index.sqlite") as index:
+            report = runner.run(registry, index=index)
+        assert report.skipped == ()
+        assert report.results == clean.results
+        assert not any(
+            workspace.compiled_array_path(p).exists() for p in registry
+        )
+
+    def test_delta_edit_after_failed_write(
+        self, tmp_path, registry, monkeypatch
+    ):
+        from repro.core.index import RegistryIndex
+        from repro.core.runtime import BatchOptions, ShardedRunner
+
+        runner = ShardedRunner(workers=1, options=BatchOptions())
+        with RegistryIndex(tmp_path / "index.sqlite") as index:
+            runner.run(registry, index=index)  # artifacts + index rows
+            data = json.loads(registry[0].read_text())
+            rows = data["alternatives"]
+            rows[0]["performances"], rows[1]["performances"] = (
+                rows[1]["performances"],
+                rows[0]["performances"],
+            )
+            registry[0].write_text(json.dumps(data, sort_keys=True))
+            monkeypatch.setattr(
+                workspace, "save_compiled_arrays", _failing_write
+            )
+            edited = runner.run(registry, index=index)
+            monkeypatch.undo()
+            reference = runner.run(registry, index=index, refresh=True)
+        assert edited.n_delta in (0, 1)
+        assert edited.skipped == ()
+        assert edited.results == reference.results
+
+    def test_index_build_keeps_row_without_artifact(
+        self, tmp_path, registry, failing_writes
+    ):
+        from repro.core.index import RegistryIndex
+
+        with RegistryIndex(tmp_path / "index.sqlite") as index:
+            assert index.build(registry)["error"] == 0
+            rows = [index.lookup_workspace(p) for p in registry]
+        assert all(row.npz_source_sha is None for row in rows)
+
+    @pytest.mark.parametrize("extra", [[], ["--workers", "1"]])
+    def test_repro_batch_exits_zero(self, tmp_path, capsys, extra):
+        from repro.cli import main
+        from repro.core import genreg
+
+        spec = genreg.preset("default", seed=0, n_workspaces=6)
+        clean_dir, failing_dir = tmp_path / "clean", tmp_path / "ro"
+        genreg.write_registry(spec, clean_dir)
+        genreg.write_registry(spec, failing_dir)
+        assert main(["batch", *extra, str(clean_dir)]) == 0
+        clean = capsys.readouterr().out
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(workspace, "save_compiled_arrays", _failing_write)
+            assert main(["batch", *extra, str(failing_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "skipped" not in out
+        assert out == clean
 
 
 class TestConcurrentWriters:

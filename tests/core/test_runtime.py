@@ -11,6 +11,7 @@ from repro.core.runtime import (
     RegistryReport,
     ShardedRunner,
     SkippedWorkspace,
+    evaluate_problems,
     evaluate_registry_chunk,
     shard_registry,
 )
@@ -109,6 +110,37 @@ class TestChunkEvaluation:
         assert results[2].name == "ws-00:quality"
 
 
+class TestInMemoryProblems:
+    @pytest.mark.parametrize(
+        "options",
+        [BatchOptions(objectives=True, simulations=30, seed=5), BatchOptions()],
+    )
+    def test_rows_equal_a_run_over_saved_workspaces(self, tmp_path, options):
+        from dataclasses import replace
+
+        problems = [
+            make_small_problem(missing_cell=i % 2 == 0, name=f"p{i}")
+            for i in range(3)
+        ]
+        paths = []
+        for i, problem in enumerate(problems):
+            paths.append(tmp_path / f"p{i}.json")
+            workspace.save(problem, paths[-1])
+        report = evaluate_problems(problems, options)
+        saved = ShardedRunner(workers=1, options=options).run(paths)
+        assert report.results == tuple(
+            replace(r, path="") for r in saved.results
+        )
+        assert report.skipped == () and report.n_workspaces == 3
+
+    def test_rejects_group_with_objectives(self):
+        with pytest.raises(ValueError, match="mutually exclusive"):
+            evaluate_problems(
+                [make_small_problem()],
+                BatchOptions(objectives=True, group=(("dm", ()),)),
+            )
+
+
 class TestCorruptWorkspaces:
     def test_corrupt_json_reported_and_skipped(self, tmp_path):
         paths = write_registry(tmp_path, n=3)
@@ -165,13 +197,6 @@ class TestDeterministicMerge:
         assert [r.index for r in report.results] == [0, 1, 2]
         assert report.results[1].name == "Multimedia"
         assert report.n_stacks == 2
-
-    def test_with_options_copies_pool_shape(self):
-        runner = ShardedRunner(workers=3, chunk_size=5)
-        tweaked = runner.with_options(simulations=10)
-        assert tweaked.workers == 3
-        assert tweaked.chunk_size == 5
-        assert tweaked.options.simulations == 10
 
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError):

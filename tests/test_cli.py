@@ -1,5 +1,9 @@
 """Tests for the ``repro`` command-line interface."""
 
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -73,17 +77,30 @@ class TestCommands:
         assert "ever best" in out
         assert "200 simulations each" in out
 
-    def test_batch_workspace_registry_hits_compile_cache(self, capsys, tmp_path):
-        from repro.core.workspace import clear_compile_cache
+    def test_batch_workspace_registry_hits_compile_cache(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.core import workspace
 
         target = tmp_path / "ws.json"
         code, _ = run_cli(capsys, "workspace", "save", str(target))
         assert code == 0
-        clear_compile_cache()
-        code, out = run_cli(capsys, "batch", str(target), str(target))
+        ingested = []
+        ingest = workspace.ingest
+        monkeypatch.setattr(
+            workspace,
+            "ingest",
+            lambda path, *rest: ingested.append(path) or ingest(path, *rest),
+        )
+        code, cold = run_cli(capsys, "batch", str(target), str(target))
         assert code == 0
-        assert "evaluated 2 problem(s)" in out
-        assert "1 hits, 1 misses" in out
+        assert "evaluated 2 problem(s)" in cold
+        assert cold.count("Media Ontology") == 2
+        # the second entry reads the .npz artifact the first one wrote
+        assert len(ingested) == 1
+        code, warm = run_cli(capsys, "batch", str(target), str(target))
+        assert code == 0
+        assert warm == cold
 
     def test_batch_skips_corrupt_workspace(self, capsys, tmp_path):
         good = tmp_path / "good.json"
@@ -119,15 +136,12 @@ class TestCommands:
             outputs[workers] = out
         assert outputs[1] == outputs[2] == outputs[3]
         assert "evaluated 5 problem(s)" in outputs[1]
-        # and the rows agree with the sequential engine path
-        code, sequential = run_cli(
+        # and no --workers means --workers 1
+        code, default = run_cli(
             capsys, "batch", "--simulate", "100", *registry
         )
         assert code == 0
-        table = lambda text: [  # noqa: E731 - local helper
-            line for line in text.splitlines() if "Media Ontology" in line
-        ]
-        assert table(sequential) == table(outputs[1])
+        assert default == outputs[1]
 
     def test_batch_workers_skips_corrupt_workspace(self, capsys, tmp_path):
         good = tmp_path / "good.json"
@@ -204,6 +218,79 @@ class TestCommands:
             main(["workspace", "save"])
 
 
+BATCH_GOLDEN = Path(__file__).parent / "data" / "batch"
+
+
+def sequential_output(name: str, registry: object = "") -> str:
+    """What the former sequential ``repro batch`` loop printed.
+
+    ``tests/data/batch/*.txt`` hold its stdout verbatim, with the
+    registry directory written as ``{registry}``.  The footer's
+    ``; compile cache: ...`` clause reported the in-process compile LRU,
+    which is gone, so it is dropped before comparing.
+    """
+    text = (BATCH_GOLDEN / f"{name}.txt").read_text()
+    text = re.sub(r"; compile cache: \d+ hits, \d+ misses", "", text)
+    return text.replace("{registry}", str(registry))
+
+
+class TestBatchOutputUnchanged:
+    """Every ``repro batch`` run goes through the sharded runtime; its
+    stdout matches the sequential loop it replaced, byte for byte."""
+
+    @pytest.fixture()
+    def registry(self, tmp_path):
+        from repro.core import genreg
+
+        root = tmp_path / "registry"
+        genreg.write_registry(genreg.preset("default", n_workspaces=40), root)
+        return root
+
+    @pytest.mark.parametrize(
+        "name, flags",
+        [
+            ("bare", []),
+            ("simulate", ["--simulate", "200"]),
+            ("objectives", ["--objectives"]),
+        ],
+    )
+    def test_registry(self, capsys, registry, name, flags):
+        expected = sequential_output(name)
+        # cold, warm (served from the index), --workers 1, --no-cache
+        for extra in ([], [], ["--workers", "1"], ["--no-cache"]):
+            code, out = run_cli(capsys, "batch", *flags, *extra, str(registry))
+            assert code == 0
+            assert out == expected, extra
+
+    def test_corrupt_workspace(self, capsys, registry):
+        (registry / "corrupt.json").write_text("{ definitely not json")
+        code, out = run_cli(capsys, "batch", str(registry))
+        assert code == 0
+        assert out == sequential_output("corrupt", registry)
+
+    def test_all_corrupt(self, capsys, tmp_path):
+        (tmp_path / "a.json").write_text("{ definitely not json")
+        (tmp_path / "b.json").write_text("[1, 2")
+        code, out = run_cli(capsys, "batch", str(tmp_path))
+        assert code == 1
+        assert out == sequential_output("allcorrupt", tmp_path)
+
+    @pytest.mark.parametrize(
+        "name, flags",
+        [
+            ("casestudy", []),
+            (
+                "casestudy_objectives_simulate",
+                ["--objectives", "--simulate", "200"],
+            ),
+        ],
+    )
+    def test_case_study(self, capsys, name, flags):
+        code, out = run_cli(capsys, "batch", *flags)
+        assert code == 0
+        assert out == sequential_output(name)
+
+
 def write_group_fixture(tmp_path):
     """(registry dir, members file) for group CLI tests."""
     import json
@@ -233,6 +320,70 @@ def write_group_fixture(tmp_path):
         json.dumps({"format": "repro-members/1", "members": members})
     )
     return registry, members_path
+
+
+def table_names(text: str) -> list:
+    """First-column cells of a batch/group table, in row order."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("---"))
+    names = []
+    for line in lines[start + 1:]:
+        if line.startswith("evaluated "):
+            break
+        names.append(line.split()[0])
+    return names
+
+
+class TestOneRegistryWalk:
+    def test_verbs_agree_on_nested_registry(self, capsys, tmp_path):
+        from repro.core import workspace
+        from repro.core.index import RegistryIndex
+        from repro.service.app import ServiceApp
+
+        from .conftest import make_small_problem
+
+        registry, members = write_group_fixture(tmp_path)
+        # string order puts "a-b/" before "a/" ('-' sorts before '/');
+        # a Path-wise sort would not
+        for rel in ("a/x", "a-b/x", "a/.hidden"):
+            target = registry / f"{rel}.json"
+            target.parent.mkdir(exist_ok=True)
+            workspace.save(make_small_problem(name=rel), target)
+        expected = ["a-b/x", "a/x", "ws-00", "ws-01", "ws-02", "ws-03"]
+
+        code, out = run_cli(capsys, "batch", str(registry))
+        assert code == 0
+        assert table_names(out) == expected
+        code, out = run_cli(
+            capsys, "group", "--registry", str(registry),
+            "--members", str(members),
+        )
+        assert code == 0
+        assert table_names(out) == expected
+        code, out = run_cli(capsys, "index", "build", str(registry))
+        assert code == 0
+        assert f"indexed {len(expected)} workspace(s)" in out
+        with RegistryIndex(registry / ".repro-index.sqlite") as index:
+            assert index.lookup_workspace(registry / "a/.hidden.json") is None
+        with ServiceApp(registry) as app:
+            listing = json.loads(app.handle("GET", "/v1/registry", {}).body)
+        assert [ws["id"] for ws in listing["workspaces"]] == expected
+
+    def test_explicit_json_index_is_not_a_workspace(self, capsys, tmp_path):
+        registry, members = write_group_fixture(tmp_path)
+        db = str(registry / "index.json")
+        for argv in (
+            ["batch", "--index", db, str(registry)],
+            ["group", "--registry", str(registry), "--members", str(members),
+             "--index", db],
+        ):
+            for _ in range(2):  # the second run finds the database on disk
+                code, out = run_cli(capsys, *argv)
+                assert code == 0
+                assert "skipped" not in out
+        code, out = run_cli(capsys, "index", "build", str(registry), "--index", db)
+        assert code == 0
+        assert "indexed 4 workspace(s)" in out and "unreadable: 0" in out
 
 
 class TestGroupCommand:
