@@ -98,21 +98,33 @@ def report_fingerprints(report):
 
 
 MC_SIMULATIONS = 256
+REPEATS = 3
 
 
-def _best_sharded_time(paths, worker_counts, options, repeats: int = 3):
+def _best_time(fn, repeats: int = REPEATS):
+    """``(fastest wall time, last result)`` of ``repeats`` calls of ``fn``.
+
+    Every leg of the comparison, sequential and sharded, is timed this
+    way over the same files, so no leg is charged a cold first pass
+    the others skip.
+    """
+    best = result = None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        result = fn()
+        elapsed = time.perf_counter() - t0
+        best = elapsed if best is None else min(best, elapsed)
+    return best, result
+
+
+def _best_sharded_time(paths, worker_counts, options):
     """Fastest warm wall time per worker count: {workers: seconds}."""
-    timings = {}
-    for workers in worker_counts:
-        runner = ShardedRunner(workers=workers, options=options)
-        best = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            runner.run(paths)
-            elapsed = time.perf_counter() - t0
-            best = elapsed if best is None else min(best, elapsed)
-        timings[workers] = best
-    return timings
+    return {
+        workers: _best_time(
+            lambda: ShardedRunner(workers=workers, options=options).run(paths)
+        )[0]
+        for workers in worker_counts
+    }
 
 
 def run(
@@ -129,19 +141,19 @@ def run(
         paths = build_registry(tmp, n_workspaces)
         t_build = time.perf_counter() - t0
 
-        # --- PR 1 sequential path, both workloads -------------------
-        t0 = time.perf_counter()
-        seq_fingerprints = sequential_reference(paths)
-        t_seq_eval = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        sequential_reference(paths, simulations=MC_SIMULATIONS)
-        t_seq_mc = time.perf_counter() - t0
-
         # --- cold sharded run: compiles once, persists .npz ---------
         runner = ShardedRunner(workers=workers, options=BatchOptions())
         t0 = time.perf_counter()
         runner.run(paths)
         t_cold = time.perf_counter() - t0
+
+        # --- PR 1 sequential path, both workloads -------------------
+        t_seq_eval, seq_fingerprints = _best_time(
+            lambda: sequential_reference(paths)
+        )
+        t_seq_mc, _ = _best_time(
+            lambda: sequential_reference(paths, simulations=MC_SIMULATIONS)
+        )
 
         # --- warm sharded runs: mmap artifacts, stacked tensors -----
         eval_times = _best_sharded_time(paths, worker_counts, BatchOptions())

@@ -62,6 +62,28 @@ threads — each thread lazily gets its own sqlite connection to the same
 database file, so WAL readers (e.g. the query service's request
 threads, :mod:`repro.service`) proceed concurrently while a writer
 commits.
+
+In-process mirror: an instance keeps a copy of its ``workspaces`` rows
+(without ``component_json``) and of the result sets those rows'
+content hashes reference, filled by one bulk read on first use.  The
+freshness ladder and :meth:`RegistryIndex.lookup_results` read it
+first, so a follow cycle over an unchanged registry issues no sqlite
+statement per workspace.  It is a cache of the index, not a second
+index: a miss falls through to sqlite (rows and results another
+process wrote are still found, and nothing is cached negatively); only
+this instance's own committed writes update it, ``vacuum``, recovery
+and ``close`` drop it; a mirrored row is trusted only through the same
+stat / recording-window / derive ladder, so a row another process made
+stale costs a false miss, never a false hit; and a content hash's
+result sets leave it with the last row that references that hash, so
+it grows with the registry, not with its history.
+
+A database that cannot be written (a read-only mount, or an index
+file or directory without write permission) is opened read-only: the
+warm index still serves probes and cached results, and the recording
+calls (:meth:`RegistryIndex.record_run`, :meth:`RegistryIndex.record_probes`,
+quarantine bookkeeping) become no-ops, so a run evaluates what it
+cannot serve without recording it.
 """
 
 from __future__ import annotations
@@ -288,7 +310,9 @@ class IndexedWorkspace:
     component_json : str or None
         Canonical per-component hash table
         (:func:`repro.core.workspace.component_json`) enabling delta
-        compilation; ``None`` on legacy rows or when unknown.
+        compilation; ``None`` on legacy rows or when unknown, and on
+        rows the in-process mirror serves (it is read per changed row).
+        Excluded from equality: it is a function of ``content_hash``.
     """
 
     path: str
@@ -301,7 +325,7 @@ class IndexedWorkspace:
     n_attributes: int
     ctime_ns: Optional[int] = None
     recorded_ns: Optional[int] = field(default=None, compare=False)
-    component_json: Optional[str] = None
+    component_json: Optional[str] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -374,7 +398,9 @@ class ProbeEvidence:
     ``arrays`` the fresh compiled-artifact payload (``None`` when the
     artifact is absent or stale); ``source`` the ``(raw bytes,
     sha256)`` already read (``None`` when there was no stored row or
-    artifact to check them against).
+    artifact to check them against); ``stale_arrays`` the checksummed
+    payload of an artifact that loaded but no longer matches the bytes
+    — what a delta edit patches, so the artifact is read once.
     """
 
     path: str
@@ -382,9 +408,94 @@ class ProbeEvidence:
     stored: Optional[IndexedWorkspace]
     arrays: Optional[Mapping[str, object]]
     source: Optional[Tuple[bytes, str]]
+    stale_arrays: Optional[Mapping[str, object]] = None
 
 
 _LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError)
+
+#: The ``workspaces`` columns the mirror keeps: every one except
+#: ``component_json``, which only a changed row needs.
+_MIRROR_COLUMNS = (
+    "path, mtime_ns, size, source_sha, content_hash, npz_source_sha,"
+    " n_alternatives, n_attributes, ctime_ns, recorded_ns,"
+    " NULL AS component_json"
+)
+
+
+def _row_record(row: sqlite3.Row) -> IndexedWorkspace:
+    """One ``workspaces`` row as an :class:`IndexedWorkspace`."""
+    return IndexedWorkspace(
+        path=row["path"],
+        mtime_ns=row["mtime_ns"],
+        size=row["size"],
+        source_sha=row["source_sha"],
+        content_hash=row["content_hash"],
+        npz_source_sha=row["npz_source_sha"],
+        n_alternatives=row["n_alternatives"],
+        n_attributes=row["n_attributes"],
+        ctime_ns=row["ctime_ns"],
+        recorded_ns=row["recorded_ns"],
+        component_json=row["component_json"],
+    )
+
+
+def _result_record(row: sqlite3.Row) -> CachedResult:
+    """One ``results`` row as a :class:`CachedResult`."""
+    return CachedResult(
+        sub_index=row["sub_index"],
+        name=row["name"],
+        n_alternatives=row["n_alternatives"],
+        n_attributes=row["n_attributes"],
+        best_name=row["best_name"],
+        best_minimum=row["best_minimum"],
+        best_average=row["best_average"],
+        best_maximum=row["best_maximum"],
+        ever_best=row["ever_best"],
+        top5_fluctuation=row["top5_fluctuation"],
+        group_json=row["group_json"],
+    )
+
+
+class _Mirror:
+    """An instance's in-process copy of its rows and their result sets.
+
+    ``rows`` maps path to row (``component_json`` left out), ``refs``
+    counts the rows per content hash, and ``results`` maps a content
+    hash to ``{config_hash: row set}`` for referenced hashes only.
+    Entries are immutable and replaced whole; the owning index mutates
+    the mirror under its lock, readers only ``get``.
+    """
+
+    def __init__(self) -> None:
+        """An empty mirror."""
+        self.rows: Dict[str, IndexedWorkspace] = {}
+        self.refs: Dict[str, int] = {}
+        self.results: Dict[str, Dict[str, Tuple[CachedResult, ...]]] = {}
+
+    def put_row(self, row: IndexedWorkspace) -> None:
+        """Mirror one committed row; evicts what it stopped referencing."""
+        old = self.rows.get(row.path)
+        self.rows[row.path] = replace(row, component_json=None)
+        self.refs[row.content_hash] = self.refs.get(row.content_hash, 0) + 1
+        if old is not None:
+            left = self.refs[old.content_hash] - 1
+            if left:
+                self.refs[old.content_hash] = left
+            else:
+                del self.refs[old.content_hash]
+                self.results.pop(old.content_hash, None)
+
+    def put_results(
+        self,
+        content_hash: str,
+        config_hash: str,
+        rows: Sequence[CachedResult],
+    ) -> None:
+        """Mirror one committed row set, if a mirrored row references it."""
+        if content_hash in self.refs:
+            sets = dict(self.results.get(content_hash, {}))
+            sets[config_hash] = tuple(sorted(rows, key=lambda r: r.sub_index))
+            self.results[content_hash] = sets
 
 
 class RegistryIndex:
@@ -406,7 +517,8 @@ class RegistryIndex:
     first use, all closed by :meth:`close`), so concurrent WAL readers
     never share a cursor with the single writer.  ``":memory:"`` paths
     are rejected — each per-thread connection would open a distinct
-    empty database.
+    empty database.  ``read_only`` is true when the database could not
+    be opened for writing (see the module docstring).
     """
 
     def __init__(
@@ -439,10 +551,22 @@ class RegistryIndex:
         ] = {}
         self._connections_lock = threading.Lock()
         self._closed = False
+        self._mirror: Optional[_Mirror] = None
+        self._mirror_lock = threading.Lock()
+        # sqlite URI of a read-only open; None opens the path read-write
+        self._uri: Optional[str] = None
+        self.read_only = not self._writable()
         try:
-            self._initialise_schema()
+            if self.read_only:
+                self._open_read_only()
+            else:
+                self._initialise_schema()
         except sqlite3.DatabaseError as exc:
-            if not recover or isinstance(exc, sqlite3.OperationalError):
+            if (
+                not recover
+                or self.read_only
+                or isinstance(exc, sqlite3.OperationalError)
+            ):
                 # OperationalError is environmental (locked, read-only,
                 # bad path) — rebuilding would destroy a healthy index.
                 self.close()
@@ -452,6 +576,37 @@ class RegistryIndex:
         except BaseException:
             self.close()
             raise
+
+    def _writable(self) -> bool:
+        """Whether sqlite may write the database and its WAL sidecars."""
+        if not os.access(self.db_path.parent, os.W_OK):
+            return False
+        return not self.db_path.exists() or os.access(self.db_path, os.W_OK)
+
+    def _open_read_only(self) -> None:
+        """Open an unwritable database read-only and check its schema.
+
+        ``mode=ro`` reads a WAL database only while its ``-wal`` and
+        ``-shm`` sidecars exist; after a clean close they are gone and
+        cannot be recreated, and then nothing can change the file, so
+        it is opened ``immutable``.
+        """
+        uri = self.db_path.resolve().as_uri()
+        self._uri = uri + "?mode=ro"
+        try:
+            stored = self._get_meta("schema_version")
+        except sqlite3.OperationalError:
+            if Path(str(self.db_path) + "-wal").exists():
+                raise
+            self._close_connections()
+            self._uri = uri + "?immutable=1"
+            stored = self._get_meta("schema_version")
+        if stored != str(SCHEMA_VERSION):
+            raise ValueError(
+                f"read-only registry index {self.db_path} has schema "
+                f"{stored!r}; expected {SCHEMA_VERSION!r} (it cannot be "
+                "migrated in place)"
+            )
 
     def _initialise_schema(self) -> None:
         """Create/verify the schema on this thread's connection."""
@@ -480,11 +635,8 @@ class RegistryIndex:
         are dropped, and the fresh database records when and why it was
         rebuilt.  Returns the quarantined file's path.
         """
-        with self._connections_lock:
-            connections, self._connections = self._connections, {}
-        for _, conn in connections.values():
-            conn.close()
-        self._local.conn = None
+        self._close_connections()
+        self._drop_mirror()
         target = self.db_path.with_name(self.db_path.name + ".corrupt")
         os.replace(self.db_path, target)
         for suffix in ("-wal", "-shm"):
@@ -513,10 +665,16 @@ class RegistryIndex:
         threads; each connection is used for queries exclusively by the
         thread that created it.
         """
-        conn = sqlite3.connect(self.db_path, check_same_thread=False)
+        if self._uri is None:
+            conn = sqlite3.connect(self.db_path, check_same_thread=False)
+        else:
+            conn = sqlite3.connect(
+                self._uri, uri=True, check_same_thread=False
+            )
         conn.row_factory = sqlite3.Row
         try:
-            conn.execute("PRAGMA journal_mode=WAL")
+            if self._uri is None:
+                conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute("PRAGMA busy_timeout=30000")
         except BaseException:
@@ -658,14 +816,19 @@ class RegistryIndex:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def close(self) -> None:
-        """Close every per-thread sqlite connection."""
+    def _close_connections(self, closing: bool = False) -> None:
+        """Close every per-thread connection (and refuse new ones)."""
         with self._connections_lock:
-            self._closed = True
+            self._closed = self._closed or closing
             connections, self._connections = self._connections, {}
         for _, conn in connections.values():
             conn.close()
         self._local.conn = None
+
+    def close(self) -> None:
+        """Close every per-thread sqlite connection and drop the mirror."""
+        self._close_connections(closing=True)
+        self._drop_mirror()
 
     def __enter__(self) -> "RegistryIndex":
         """Enter a ``with`` block; returns the open index."""
@@ -676,6 +839,88 @@ class RegistryIndex:
         self.close()
 
     # ------------------------------------------------------------------
+    # The in-process mirror
+    # ------------------------------------------------------------------
+
+    def _mirrored(self) -> _Mirror:
+        """The mirror, filled by one bulk read on first use.
+
+        The two reads share one sqlite snapshot, so every mirrored
+        result set is complete.  A write committed while the fill runs
+        is applied after it (:meth:`_publish` waits on the same lock);
+        applying a row or set that the fill already read is harmless.
+        """
+        mirror = self._mirror
+        if mirror is not None:
+            return mirror
+        with self._mirror_lock:
+            if self._mirror is not None:
+                return self._mirror
+            conn = self._conn
+            mirror = _Mirror()
+            began = not conn.in_transaction
+            if began:
+                conn.execute("BEGIN")
+            try:
+                for row in conn.execute(
+                    f"SELECT {_MIRROR_COLUMNS} FROM workspaces"
+                ):
+                    mirror.put_row(_row_record(row))
+                sets: Dict[Tuple[str, str], List[CachedResult]] = {}
+                for row in conn.execute(
+                    "SELECT * FROM results WHERE content_hash IN"
+                    " (SELECT content_hash FROM workspaces)"
+                    " ORDER BY content_hash, config_hash, sub_index"
+                ):
+                    sets.setdefault(
+                        (row["content_hash"], row["config_hash"]), []
+                    ).append(_result_record(row))
+            finally:
+                if began:
+                    conn.commit()
+            for (content_hash, config_hash), rows in sets.items():
+                mirror.put_results(content_hash, config_hash, rows)
+            self._mirror = mirror
+            return mirror
+
+    def _publish(
+        self,
+        rows: Iterable[IndexedWorkspace] = (),
+        results: Iterable[Tuple[str, str, Sequence[CachedResult]]] = (),
+    ) -> None:
+        """Apply this instance's just-committed writes to the mirror.
+
+        Rows first, so a result set committed with the row that
+        references it is mirrored too.  A row that brings a content
+        hash the mirror did not reference (an edit reverted to earlier
+        content, a copy) brings that hash's stored result sets along,
+        one read per such hash.  Nothing to do before the first fill:
+        that reads the committed state.
+        """
+        with self._mirror_lock:
+            mirror = self._mirror
+            if mirror is None:
+                return
+            added = []
+            for row in rows:
+                if row.content_hash not in mirror.refs:
+                    added.append(row.content_hash)
+                mirror.put_row(row)
+            for content_hash, config_hash, sets in results:
+                mirror.put_results(content_hash, config_hash, sets)
+            for content_hash in added:
+                if content_hash in mirror.results:
+                    continue
+                stored = self.result_sets(content_hash)
+                for config_hash, sets in stored.items():
+                    mirror.put_results(content_hash, config_hash, sets)
+
+    def _drop_mirror(self) -> None:
+        """Forget the mirror; the next read refills it from sqlite."""
+        with self._mirror_lock:
+            self._mirror = None
+
+    # ------------------------------------------------------------------
     # Probing (read-only freshness ladder)
     # ------------------------------------------------------------------
 
@@ -684,24 +929,39 @@ class RegistryIndex:
         return os.path.abspath(str(path))
 
     def _stored(self, key: str) -> Optional[IndexedWorkspace]:
+        """The row for ``key``: mirrored, else read from sqlite.
+
+        A mirrored row carries no ``component_json``
+        (:meth:`_with_components` adds it); a row read on a miss is
+        returned whole and not mirrored.
+        """
+        record = self._mirrored().rows.get(key)
+        if record is not None:
+            return record
         row = self._conn.execute(
             "SELECT * FROM workspaces WHERE path = ?", (key,)
         ).fetchone()
-        if row is None:
-            return None
-        return IndexedWorkspace(
-            path=row["path"],
-            mtime_ns=row["mtime_ns"],
-            size=row["size"],
-            source_sha=row["source_sha"],
-            content_hash=row["content_hash"],
-            npz_source_sha=row["npz_source_sha"],
-            n_alternatives=row["n_alternatives"],
-            n_attributes=row["n_attributes"],
-            ctime_ns=row["ctime_ns"],
-            recorded_ns=row["recorded_ns"],
-            component_json=row["component_json"],
-        )
+        return None if row is None else _row_record(row)
+
+    def _with_components(
+        self, record: Optional[IndexedWorkspace]
+    ) -> Optional[IndexedWorkspace]:
+        """``record`` with its stored ``component_json`` filled in.
+
+        Read per row, and only while that path still carries the same
+        content hash, so a component table can never be paired with
+        another content's row.
+        """
+        if record is None or record.component_json is not None:
+            return record
+        row = self._conn.execute(
+            "SELECT component_json FROM workspaces"
+            " WHERE path = ? AND content_hash = ?",
+            (record.path, record.content_hash),
+        ).fetchone()
+        if row is None or row["component_json"] is None:
+            return record
+        return replace(record, component_json=row["component_json"])
 
     def lookup_workspace(
         self, path: Union[str, Path]
@@ -712,7 +972,7 @@ class RegistryIndex:
         the *previous* recorded identity (or ``None``), which is what
         the delta-compilation path diffs a changed file against.
         """
-        return self._stored(self._key(path))
+        return self._with_components(self._stored(self._key(path)))
 
     @staticmethod
     def fingerprint(
@@ -825,10 +1085,10 @@ class RegistryIndex:
             except OSError:
                 return None, "error", None
         try:
-            # One call supplies the fresh-or-None artifact payload under
-            # workspace.py's single freshness definition, plus the bytes
-            # it read to decide; a stored row needs them regardless.
-            arrays, _, source = _workspace._fresh_artifact(Path(key))
+            # One call supplies the artifact payload, whether it is fresh
+            # under workspace.py's single freshness definition, and the
+            # bytes it read to decide; a stored row needs them regardless.
+            artifact, fresh, source = _workspace._load_artifact(Path(key))
             if source is None and stored is not None:
                 source = _workspace._read_source(key)
         except OSError:
@@ -851,9 +1111,10 @@ class RegistryIndex:
         evidence = ProbeEvidence(
             path=key,
             st=st,
-            stored=stored,
-            arrays=arrays,
+            stored=self._with_components(stored),
+            arrays=artifact if fresh else None,
             source=source,
+            stale_arrays=None if fresh else artifact,
         )
         return None, ("changed" if stored is not None else "new"), evidence
 
@@ -876,19 +1137,25 @@ class RegistryIndex:
 
     @staticmethod
     def needs_restamp(stored: "IndexedWorkspace") -> bool:
-        """Whether re-persisting this unchanged row would still help.
+        """Whether re-persisting this unchanged row would now help.
 
         A ``"fresh"`` probe of a row whose ``mtime`` falls inside the
         recording window was byte-verified (see :meth:`_needs_byte_check`);
-        re-stamping it moves the row out of the window so future probes
-        take the pure stat fast path.  A row already outside the window
-        gains nothing from another write — steady-state runs over an
-        unchanged registry can skip persisting it entirely.  Pure
-        record inspection; no filesystem or database access.
+        re-stamping it with "now" moves the row out of the window, so
+        future probes take the pure stat fast path — but only once the
+        file's ``mtime`` lies more than the window before "now".  Until
+        then a new stamp would leave the row inside the window and the
+        write would buy nothing.  A row already outside the window never
+        needs one, so steady-state runs over an unchanged registry skip
+        persisting it entirely.  Pure record inspection plus the clock;
+        no filesystem or database access.
         """
-        return (
+        in_window = (
             stored.recorded_ns is None
             or stored.mtime_ns >= stored.recorded_ns - RECORDING_WINDOW_NS
+        )
+        return in_window and (
+            stored.mtime_ns < time.time_ns() - RECORDING_WINDOW_NS
         )
 
     @staticmethod
@@ -903,10 +1170,11 @@ class RegistryIndex:
         (:data:`RECORDING_WINDOW_NS`), a second write in the same
         filesystem timestamp tick could hide behind an identical stat
         triple — so the ``source_sha`` is re-verified.  Rows are
-        re-stamped on every upsert, so a quiet file leaves the window
-        after the next recorded run and returns to the pure stat fast
-        path.  Legacy (pre-v3) rows have no recording time and are
-        always verified.
+        re-stamped on every upsert, and a run re-stamps a quiet file
+        once its ``mtime`` is more than the window old
+        (:meth:`needs_restamp`), so it leaves the window and returns to
+        the pure stat fast path.  Legacy (pre-v3) rows have no recording
+        time and are always verified.
         """
         return (
             stored.recorded_ns is None
@@ -957,15 +1225,16 @@ class RegistryIndex:
         For read paths that probe many workspaces without evaluating
         (e.g. the query service's registry listing): upserting the
         fingerprints lets every later probe take the stat-fingerprint
-        fast path instead of re-hashing unchanged files.
+        fast path instead of re-hashing unchanged files.  A no-op on a
+        read-only index.
         """
         records = list(records)
-        if not records:
+        if not records or self.read_only:
             return
         with self._conn:
             self._conn.execute("BEGIN IMMEDIATE")
-            for record in records:
-                self._upsert_workspace(record)
+            stamped = [self._upsert_workspace(record) for record in records]
+        self._publish(stamped)
 
     # ------------------------------------------------------------------
     # Result cache
@@ -980,7 +1249,13 @@ class RegistryIndex:
         for a plain run, ``1 + n_top_level_objectives`` rows for an
         ``objectives`` run — or ``None`` on a cache miss.  Row sets are
         written atomically, so a non-``None`` return is always complete.
+        Served from the mirror when it holds the set; a miss reads
+        sqlite (results are content-addressed, so a set another process
+        wrote is as good as one this instance wrote).
         """
+        rows = self._mirrored().results.get(content_hash, {}).get(config_hash)
+        if rows is not None:
+            return rows
         rows = self._conn.execute(
             "SELECT * FROM results WHERE content_hash = ? AND config_hash = ?"
             " ORDER BY sub_index",
@@ -988,36 +1263,39 @@ class RegistryIndex:
         ).fetchall()
         if not rows:
             return None
-        return tuple(
-            CachedResult(
-                sub_index=row["sub_index"],
-                name=row["name"],
-                n_alternatives=row["n_alternatives"],
-                n_attributes=row["n_attributes"],
-                best_name=row["best_name"],
-                best_minimum=row["best_minimum"],
-                best_average=row["best_average"],
-                best_maximum=row["best_maximum"],
-                ever_best=row["ever_best"],
-                top5_fluctuation=row["top5_fluctuation"],
-                group_json=row["group_json"],
-            )
-            for row in rows
-        )
+        return tuple(_result_record(row) for row in rows)
 
-    def _upsert_workspace(self, record: IndexedWorkspace) -> None:
-        # recorded_ns is stamped here, at write time, regardless of what
-        # the record carries: every probed row was either byte-verified,
-        # derived fresh, or already outside the recording window (where
-        # the file's mtime tick lies in the past and cannot be reused by
-        # a later write) — so "observed now" is safe, and the stamp is
-        # what ages a row out of the window's byte check.
+    def _upsert_workspace(self, record: IndexedWorkspace) -> IndexedWorkspace:
+        """Write one row (caller owns the transaction); returns it stamped.
+
+        ``recorded_ns`` is stamped here, at write time, regardless of
+        what the record carries: every probed row was either
+        byte-verified, derived fresh, or already outside the recording
+        window (where the file's mtime tick lies in the past and cannot
+        be reused by a later write) — so "observed now" is safe, and the
+        stamp is what ages a row out of the window's byte check.  A
+        record without ``component_json`` (a mirrored row re-stamped or
+        touched) keeps the stored table while the content hash holds.
+        """
+        now = time.time_ns()
         self._conn.execute(
-            "INSERT OR REPLACE INTO workspaces"
+            "INSERT INTO workspaces"
             " (path, mtime_ns, size, source_sha, content_hash,"
             "  npz_source_sha, n_alternatives, n_attributes,"
             "  ctime_ns, recorded_ns, component_json)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+            " ON CONFLICT (path) DO UPDATE SET"
+            " mtime_ns = excluded.mtime_ns, size = excluded.size,"
+            " source_sha = excluded.source_sha,"
+            " content_hash = excluded.content_hash,"
+            " npz_source_sha = excluded.npz_source_sha,"
+            " n_alternatives = excluded.n_alternatives,"
+            " n_attributes = excluded.n_attributes,"
+            " ctime_ns = excluded.ctime_ns,"
+            " recorded_ns = excluded.recorded_ns,"
+            " component_json = COALESCE(excluded.component_json,"
+            "  CASE WHEN content_hash = excluded.content_hash"
+            "  THEN component_json END)",
             (
                 record.path,
                 record.mtime_ns,
@@ -1028,7 +1306,7 @@ class RegistryIndex:
                 record.n_alternatives,
                 record.n_attributes,
                 record.ctime_ns,
-                time.time_ns(),
+                now,
                 record.component_json,
             ),
         )
@@ -1038,8 +1316,9 @@ class RegistryIndex:
         self._conn.execute(
             "INSERT OR IGNORE INTO workspace_versions"
             " (path, content_hash, first_seen_ns) VALUES (?, ?, ?)",
-            (record.path, record.content_hash, time.time_ns()),
+            (record.path, record.content_hash, now),
         )
+        return replace(record, recorded_ns=now)
 
     def record_run(
         self,
@@ -1054,7 +1333,7 @@ class RegistryIndex:
         upserted and, for each ``content_hash`` in ``results``, the old
         row set under ``config_hash`` is replaced by the new one.  A
         reader (or a crash) sees the index before or after the run,
-        never in between.
+        never in between.  A no-op on a read-only index.
 
         Parameters
         ----------
@@ -1066,10 +1345,12 @@ class RegistryIndex:
         config_hash : str
             :func:`eval_config_hash` of the run's options.
         """
+        records = list(records)
+        if self.read_only or not (records or results):
+            return
         with _span("index.record_run", entries=len(results)), self._conn:
             self._conn.execute("BEGIN IMMEDIATE")
-            for record in records:
-                self._upsert_workspace(record)
+            stamped = [self._upsert_workspace(record) for record in records]
             for content_hash, rows in results.items():
                 self._conn.execute(
                     "DELETE FROM results"
@@ -1102,6 +1383,10 @@ class RegistryIndex:
                         for row in rows
                     ],
                 )
+        self._publish(
+            stamped,
+            [(key, config_hash, rows) for key, rows in results.items()],
+        )
 
     # ------------------------------------------------------------------
     # Version lineage (schema v5)
@@ -1212,20 +1497,17 @@ class RegistryIndex:
         The export half of ``repro registry pull``: the returned
         mapping feeds :meth:`import_result_sets` on the destination
         index unchanged (floats round-trip exactly through sqlite
-        ``REAL``, so the copy serves byte-identical bodies).
+        ``REAL``, so the copy serves byte-identical bodies).  Always
+        read from sqlite, so it exports what is stored, mirrored or not.
         """
-        config_hashes = [
-            row["config_hash"]
-            for row in self._conn.execute(
-                "SELECT DISTINCT config_hash FROM results"
-                " WHERE content_hash = ? ORDER BY config_hash",
-                (content_hash,),
-            )
-        ]
-        return {
-            config_hash: self.lookup_results(content_hash, config_hash)
-            for config_hash in config_hashes
-        }
+        sets: Dict[str, List[CachedResult]] = {}
+        for row in self._conn.execute(
+            "SELECT * FROM results WHERE content_hash = ?"
+            " ORDER BY config_hash, sub_index",
+            (content_hash,),
+        ):
+            sets.setdefault(row["config_hash"], []).append(_result_record(row))
+        return {config_hash: tuple(rows) for config_hash, rows in sets.items()}
 
     def import_result_sets(
         self,
@@ -1240,6 +1522,7 @@ class RegistryIndex:
         One transaction; returns ``{"copied": ..., "skipped": ...}``.
         """
         copied = skipped = 0
+        imported = []
         with self._conn:
             self._conn.execute("BEGIN IMMEDIATE")
             for config_hash, rows in sorted(sets.items()):
@@ -1278,6 +1561,8 @@ class RegistryIndex:
                     ],
                 )
                 copied += 1
+                imported.append((content_hash, config_hash, rows))
+        self._publish(results=imported)
         return {"copied": copied, "skipped": skipped}
 
     # ------------------------------------------------------------------
@@ -1307,8 +1592,10 @@ class RegistryIndex:
 
         Stamps each entry with the file's current content hash (best
         effort) so a later edit releases it automatically, and with the
-        quarantine time for operators.
+        quarantine time for operators.  A no-op on a read-only index.
         """
+        if self.read_only:
+            return
         rows = []
         now = time.time_ns()
         for path, failures, error in entries:
@@ -1334,8 +1621,11 @@ class RegistryIndex:
     ) -> int:
         """Release quarantined workspaces (all of them when unspecified).
 
-        Returns the number of entries removed.
+        Returns the number of entries removed (none on a read-only
+        index).
         """
+        if self.read_only:
+            return 0
         with self._conn:
             self._conn.execute("BEGIN IMMEDIATE")
             if paths is None:
@@ -1382,8 +1672,8 @@ class RegistryIndex:
                 records.append(record)
         with self._conn:
             self._conn.execute("BEGIN IMMEDIATE")
-            for record in records:
-                self._upsert_workspace(record)
+            stamped = [self._upsert_workspace(record) for record in records]
+        self._publish(stamped)
         return counts
 
     def status(self) -> Dict[str, object]:
@@ -1512,6 +1802,7 @@ class RegistryIndex:
                 "DELETE FROM results WHERE content_hash NOT IN"
                 " (SELECT content_hash FROM workspaces)"
             ).rowcount
+        self._drop_mirror()
         self._conn.execute("VACUUM")
         return {
             "workspaces_removed": len(gone),
@@ -1542,6 +1833,7 @@ class RegistryIndex:
         ``temp_artifacts_removed``, ``last_rebuild_ns`` and
         ``rebuild_reason``.
         """
+        self._drop_mirror()
         integrity = self.check()
         rebuilt = False
         if not integrity["ok"]:

@@ -361,22 +361,30 @@ def expand_registry_source(
     )
     paths: List[str] = []
     for entry in entries:
-        root = Path(entry)
-        if root.is_dir():
-            paths.extend(
-                sorted(
-                    str(p)
-                    for p in root.rglob("*.json")
-                    if not p.name.startswith(".")
-                    and not (
-                        excluded is not None
-                        and p.name == excluded.name
-                        and p.resolve() == excluded
-                    )
-                )
-            )
-        else:
-            paths.append(str(root))
+        root = str(Path(entry))
+        if not os.path.isdir(root):
+            paths.append(root)
+            continue
+        found = []
+        # "." walks as "./a"; the listing names it "a", as Path does
+        strip = 2 if root == "." else 0
+        # A recursive "*.json" match: it descends into hidden
+        # directories but not into symlinked ones, and lists matching
+        # directory entries as well as files.
+        for directory, dirnames, filenames in os.walk(root):
+            directory = directory[strip:]
+            for name in dirnames + filenames:
+                if not name.endswith(".json") or name.startswith("."):
+                    continue
+                path = os.path.join(directory, name)
+                if (
+                    excluded is not None
+                    and name == excluded.name
+                    and os.path.realpath(path) == str(excluded)
+                ):
+                    continue
+                found.append(path)
+        paths.extend(sorted(found))
     return paths
 
 
@@ -910,14 +918,17 @@ class ShardedRunner:
                             and ingested is not None
                             and old is not None
                             and old.component_json
+                            and evidence.stale_arrays is not None
                         ):
-                            # Patch from the bundle the probe ingested:
-                            # no second read, parse or hash.
+                            # Patch from the bundle the probe ingested
+                            # and the stale artifact it checksummed: no
+                            # second read, parse, hash or artifact load.
                             delta = _workspace.load_compiled_delta(
                                 path,
                                 old.content_hash,
                                 old.component_json,
                                 ingested=ingested,
+                                arrays=evidence.stale_arrays,
                             )
                             if delta is not None:
                                 delta_loaded.append(

@@ -747,26 +747,24 @@ def _artifact_identity(arrays: Mapping[str, Any]) -> Identity:
     )
 
 
-def _fresh_artifact(
+def _load_artifact(
     path: Path,
-) -> Tuple[Optional[Dict[str, Any]], Path, Optional[Tuple[bytes, str]]]:
-    """(arrays-if-fresh, npz_path, source) for one workspace file.
+) -> Tuple[Optional[Dict[str, Any]], bool, Optional[Tuple[bytes, str]]]:
+    """(arrays, fresh, source) for one workspace file's artifact.
 
     The single definition of artifact freshness: the artifact is usable
     iff it loads and its recorded ``source_sha`` matches the current
-    raw bytes of the workspace JSON.  ``source`` is the ``(raw bytes,
-    sha256)`` pair read to decide that, for the caller to reuse; it is
-    ``None`` when no artifact loaded, in which case the workspace file
-    was not read at all.
+    raw bytes of the workspace JSON.  ``arrays`` is the checksummed
+    payload whether fresh or stale (a stale one is what a delta edit
+    patches); ``source`` is the ``(raw bytes, sha256)`` pair read to
+    decide, for the caller to reuse.  Both are ``None`` when no
+    artifact loaded, in which case the workspace file was not read.
     """
-    npz_path = compiled_array_path(path)
-    arrays = load_compiled_arrays(npz_path)
+    arrays = load_compiled_arrays(compiled_array_path(path))
     if arrays is None:
-        return None, npz_path, None
+        return None, False, None
     source = _read_source(path)
-    if str(arrays.get("source_sha")) != source[1]:
-        return None, npz_path, source
-    return arrays, npz_path, source
+    return arrays, str(arrays.get("source_sha")) == source[1], source
 
 
 def _persist_artifact(
@@ -827,10 +825,12 @@ def load_compiled_with_identity(
     parsed the file.
     """
     path = Path(path)
-    arrays, npz_path, source = _fresh_artifact(path)
-    if arrays is not None:
+    arrays, fresh, source = _load_artifact(path)
+    if fresh:
         return _compiled_from_arrays(arrays), _artifact_identity(arrays)
-    compiled, ingested = _compile_and_persist(path, npz_path, source)
+    compiled, ingested = _compile_and_persist(
+        path, compiled_array_path(path), source
+    )
     return compiled, ingested.identity
 
 
@@ -874,6 +874,7 @@ def load_compiled_delta(
     old_content_hash: str,
     old_component_json: Optional[str],
     ingested: Optional[Ingested] = None,
+    arrays: Optional[Mapping[str, Any]] = None,
 ) -> Optional[DeltaLoad]:
     """Delta-compile an edited workspace against its cached artifact.
 
@@ -894,7 +895,9 @@ def load_compiled_delta(
     ``ingested`` is the edited file's :func:`ingest` bundle when the
     caller already holds it (the batch runner ingests a changed file
     once to look its new content up); otherwise the file is ingested
-    here.
+    here.  Likewise ``arrays`` is the stale artifact payload the
+    caller already loaded and checksummed (the index's freshness
+    ladder does); otherwise the artifact is loaded here.
     """
     path = Path(path)
     try:
@@ -907,7 +910,8 @@ def load_compiled_delta(
     ):
         return None
     npz_path = compiled_array_path(path)
-    arrays = load_compiled_arrays(npz_path)
+    if arrays is None:
+        arrays = load_compiled_arrays(npz_path)
     if arrays is None or str(arrays.get("content_hash")) != old_content_hash:
         return None
     if ingested is None:

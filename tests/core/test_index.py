@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import sqlite3
 from dataclasses import replace as dc_replace
 
@@ -471,8 +472,14 @@ class TestDeferredIngest:
         drop_artifacts(paths)
         with RegistryIndex(tmp_path / "probe.sqlite") as index:
             probed = [index.probe(path) for path in paths]
-        # IndexedWorkspace equality ignores recorded_ns
+        # IndexedWorkspace equality ignores recorded_ns and
+        # component_json, so the component tables are compared apart
         assert rows[1] == rows[2] == probed
+        assert (
+            [row.component_json for row in rows[1]]
+            == [row.component_json for row in rows[2]]
+            == [row.component_json for row in probed]
+        )
 
     def test_each_cold_workspace_is_parsed_once(self, tmp_path, monkeypatch):
         paths = write_registry(tmp_path, n=4)
@@ -552,7 +559,10 @@ class TestStalenessRegression:
 
     def test_quiet_row_leaves_the_window(self, tmp_path, index, monkeypatch):
         """Once the recording time is far past the file's mtime, the
-        pure stat fast path answers without reading the file."""
+        pure stat fast path answers without reading the file.
+
+        The stamp is moved in sqlite, behind ``index``'s mirror, so the
+        probe runs on a second instance (another process's view)."""
         path, record = self._recorded(tmp_path, index)
         index._conn.execute(
             "UPDATE workspaces SET recorded_ns = recorded_ns + ?",
@@ -566,11 +576,362 @@ class TestStalenessRegression:
             "_file_sha256",
             lambda p: (reads.append(p), real(p))[1],
         )
+        with RegistryIndex(index.db_path) as prober:
+            fresh, status = prober.probe_with_status(path)
+            assert status == "fresh"
+            assert fresh == record
+            assert reads == []
+            assert not prober.needs_restamp(prober.lookup_workspace(path))
+
+
+def row_edit(path):
+    """Blank one performance cell: a row edit that delta-compiles."""
+    data = json.loads(path.read_text())
+    alt = data["alternatives"][0]
+    attr = sorted(alt["performances"])[0]
+    alt["performances"][attr] = {"kind": "missing"}
+    path.write_text(json.dumps(data, indent=2, sort_keys=True))
+
+
+class TestMirror:
+    """The in-process mirror of rows and result sets.
+
+    A second ``RegistryIndex`` on the same file stands in for another
+    process: its writes land in sqlite behind the first instance's
+    mirror.
+    """
+
+    @staticmethod
+    def _age(paths):
+        """Date the files an hour back, so their rows are recorded
+        outside the recording window and only the stat triple guards
+        them."""
+        for path in paths:
+            st = os.stat(path)
+            old = st.st_mtime_ns - 3600 * 10**9
+            os.utime(path, ns=(old, old))
+
+    @staticmethod
+    def _rewrite_keeping_mtime(path):
+        """A same-size semantic edit with the mtime restored: only
+        ``ctime`` moves."""
+        st = os.stat(path)
+        text = path.read_text()
+        path.write_text(text.replace("ws-0", "xs-0"))
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert os.stat(path).st_size == st.st_size
+
+    def test_other_instances_edit_is_found(self, tmp_path):
+        paths = write_registry(tmp_path, n=3)
+        self._age(paths)
+        runner = ShardedRunner(workers=1)
+        config = eval_config_hash(runner.options)
+        db = tmp_path / "index.sqlite"
+        with RegistryIndex(db) as first, RegistryIndex(db) as other:
+            runner.run(paths, index=first)
+            stale = first._mirrored().rows[os.path.abspath(paths[1])]
+            self._rewrite_keeping_mtime(paths[1])
+            recorded = runner.run(paths, index=other)
+            new_hash = other.lookup_workspace(paths[1]).content_hash
+            assert new_hash != stale.content_hash
+            # first's mirror still holds the old row ...
+            assert first._mirrored().rows[stale.path] is stale
+            # ... which the ladder classifies as changed, not fresh
+            record, status = first.probe_with_status(paths[1])
+            assert status == "changed"
+            assert record.content_hash == new_hash
+            rows = first.lookup_results(new_hash, config)
+            assert rows == other.lookup_results(new_hash, config)
+            assert rows is not None
+            again = runner.run(paths, index=first)
+        assert again.n_cached == 3
+        assert again.results == recorded.results
+
+    def test_forged_stat_triple_through_warm_mirror(self, tmp_path, index):
+        """The forged row is this instance's own write, so the mirror
+        serves it; the recording-window byte check still catches it."""
+        (path,) = write_registry(tmp_path, n=1)
+        record = index.probe(path)
+        index.record_run([record], {}, "cfg")
+        text = path.read_text()
+        path.write_text(text.replace("ws-00", "xs-00"))
+        st = os.stat(path)
+        index.record_probes(
+            [
+                dc_replace(
+                    record,
+                    mtime_ns=st.st_mtime_ns,
+                    size=st.st_size,
+                    ctime_ns=st.st_ctime_ns,
+                )
+            ]
+        )
+        mirrored = index._mirrored().rows[record.path]
+        assert (mirrored.mtime_ns, mirrored.size, mirrored.ctime_ns) == (
+            st.st_mtime_ns, st.st_size, st.st_ctime_ns,
+        )
         fresh, status = index.probe_with_status(path)
-        assert status == "fresh"
-        assert fresh == record
-        assert reads == []
-        assert not index.needs_restamp(index.lookup_workspace(path))
+        assert status == "changed"
+        assert fresh.content_hash != record.content_hash
+
+    def test_utime_restore_through_warm_mirror(self, tmp_path, index):
+        """Outside the recording window only ``ctime`` can tell."""
+        (path,) = write_registry(tmp_path, n=1)
+        self._age([path])
+        record = index.probe(path)
+        index.record_run([record], {}, "cfg")
+        mirrored = index._mirrored().rows[record.path]
+        assert not index._needs_byte_check(mirrored, os.stat(path))
+        self._rewrite_keeping_mtime(path)
+        fresh, status = index.probe_with_status(path)
+        assert status == "changed"
+        assert fresh.content_hash != record.content_hash
+
+    def test_fifty_edits_keep_one_result_set_per_configuration(
+        self, tmp_path
+    ):
+        paths = write_registry(tmp_path, n=3)
+        plain = ShardedRunner(workers=1)
+        simulated = ShardedRunner(
+            workers=1, options=BatchOptions(simulations=20, seed=1)
+        )
+        with RegistryIndex(tmp_path / "index.sqlite") as index:
+            for k in range(50):
+                data = json.loads(paths[0].read_text())
+                data["name"] = f"ws-00-edit-{k}"
+                paths[0].write_text(json.dumps(data, sort_keys=True))
+                plain.run(paths, index=index)
+                simulated.run(paths, index=index)
+            mirror = index._mirrored()
+            current = index.lookup_workspace(paths[0]).content_hash
+            assert set(mirror.results[current]) == {
+                eval_config_hash(plain.options),
+                eval_config_hash(simulated.options),
+            }
+            assert set(mirror.results) == {
+                row.content_hash for row in mirror.rows.values()
+            }
+            assert len(mirror.results) == 3
+            # the history is still in sqlite: 50 contents x 2 configs,
+            # plus the two untouched workspaces
+            assert index.status()["n_result_sets"] == 2 * 52
+
+    def test_component_table_survives_a_restamp(self, tmp_path, index):
+        """A mirrored row has no component table; re-stamping it must
+        not erase the stored one."""
+        (path,) = write_registry(tmp_path, n=1)
+        record = index.probe(path)
+        index.record_run([record], {}, "cfg")
+        mirrored = index._mirrored().rows[record.path]
+        assert mirrored.component_json is None
+        index.record_run([mirrored], {}, "cfg")
+        with RegistryIndex(index.db_path) as other:
+            stored = other.lookup_workspace(path)
+        assert stored.component_json == record.component_json
+        assert stored.component_json is not None
+
+    def test_vacuum_and_close_drop_the_mirror(self, tmp_path):
+        paths = write_registry(tmp_path, n=2)
+        index = RegistryIndex(tmp_path / "index.sqlite")
+        ShardedRunner(workers=1).run(paths, index=index)
+        assert index._mirror is not None
+        index.vacuum()
+        assert index._mirror is None
+        assert index.lookup_workspace(paths[0]) is not None
+        assert index._mirror is not None
+        index.close()
+        assert index._mirror is None
+
+    def test_no_edit_run_issues_one_statement(self, tmp_path):
+        """A warm run over an unchanged, out-of-window registry reads
+        the quarantine table and nothing else."""
+        paths = write_registry(tmp_path, n=4)
+        runner = ShardedRunner(workers=1)
+        with RegistryIndex(tmp_path / "index.sqlite") as index:
+            runner.run(paths, index=index)
+            index._conn.execute(
+                "UPDATE workspaces SET recorded_ns = recorded_ns + ?",
+                (10 * RECORDING_WINDOW_NS,),
+            )
+            index._conn.commit()
+        with RegistryIndex(tmp_path / "index.sqlite") as index:
+            runner.run(paths, index=index)  # fills the mirror
+            statements = []
+            index._conn.set_trace_callback(statements.append)
+            warm = runner.run(paths, index=index)
+        assert warm.n_cached == 4
+        assert len(statements) == 1, statements
+
+
+class TestRestamp:
+    def test_edited_row_is_written_once_per_window(
+        self, tmp_path, monkeypatch
+    ):
+        """The run that sees an edit writes the row; runs inside the
+        next two seconds do not (a new stamp would leave it in the
+        recording window); the first run after that writes it once."""
+        import time
+        from types import SimpleNamespace
+
+        from repro.core import index as index_module
+
+        shift = [0]
+        real_time_ns = time.time_ns
+        monkeypatch.setattr(
+            index_module,
+            "time",
+            SimpleNamespace(time_ns=lambda: real_time_ns() + shift[0]),
+        )
+        paths = write_registry(tmp_path, n=3)
+        runner = ShardedRunner(workers=1)
+        with RegistryIndex(tmp_path / "index.sqlite") as index:
+            runner.run(paths, index=index)
+            writes = []
+            upsert = index._upsert_workspace
+            monkeypatch.setattr(
+                index,
+                "_upsert_workspace",
+                lambda record: (writes.append(record.path), upsert(record))[1],
+            )
+            edited = os.path.abspath(paths[0])
+            mutate(paths[0])
+            counts = []
+            for later_ns in (0, 0, 3 * RECORDING_WINDOW_NS // 2, 0):
+                shift[0] += later_ns
+                writes.clear()
+                report = runner.run(paths, index=index)
+                assert report.skipped == ()
+                counts.append(writes.count(edited))
+        assert counts == [1, 0, 1, 0]
+
+
+class TestDeltaArtifactRead:
+    def test_delta_edit_reads_its_artifact_once(self, tmp_path, monkeypatch):
+        paths = write_registry(tmp_path, n=3)
+        runner = ShardedRunner(workers=1)
+        with RegistryIndex(tmp_path / "index.sqlite") as index:
+            runner.run(paths, index=index)
+            row_edit(paths[1])
+            reads = []
+            real = workspace.load_compiled_arrays
+            monkeypatch.setattr(
+                workspace,
+                "load_compiled_arrays",
+                lambda npz: (reads.append(str(npz)), real(npz))[1],
+            )
+            edited = runner.run(paths, index=index)
+            monkeypatch.undo()
+            reference = runner.run(paths, index=index, refresh=True)
+        assert edited.n_delta == 1
+        assert reads == [str(workspace.compiled_array_path(paths[1]))]
+        assert edited.results == reference.results
+
+
+#: Drops the capabilities that let root ignore file permissions, so a
+#: ``chmod a-w`` registry is really read-only to the command.
+_SETPRIV = [
+    "setpriv", "--bounding-set", "-dac_override,-dac_read_search,-fowner",
+    "--inh-caps", "-all",
+]
+
+_READ_ONLY_PROBE = """
+import json, sys
+from repro.core.index import RegistryIndex
+from repro.core.runtime import ShardedRunner, expand_registry_source
+from repro.service.app import ServiceApp
+registry = sys.argv[1]
+with RegistryIndex(registry + "/.repro-index.sqlite") as index:
+    report = ShardedRunner(workers=1).run(
+        expand_registry_source(registry), index=index
+    )
+    read_only = index.read_only
+with ServiceApp(registry) as app:
+    ranking = app.handle("GET", "/v1/workspaces/ws-01/ranking")
+    simulated = app.handle(
+        "GET", "/v1/workspaces/ws-01/montecarlo",
+        {"simulations": "50", "seed": sys.argv[2]},
+    )
+print(json.dumps({
+    "read_only": read_only,
+    "n_cached": report.n_cached,
+    "skipped": len(report.skipped),
+    "ranking": [ranking.status, ranking.body.decode()],
+    "simulated": simulated.status,
+}))
+"""
+
+
+def _run(argv, unprivileged=False):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(root / "src")
+    if unprivileged and os.geteuid() == 0:
+        argv = _SETPRIV + argv
+    return subprocess.run(
+        [sys.executable if a == "python" else a for a in argv],
+        capture_output=True, text=True, env=env, cwd=root, timeout=120,
+    )
+
+
+@pytest.mark.skipif(
+    os.geteuid() == 0 and shutil.which("setpriv") is None,
+    reason="root ignores chmod and setpriv is not installed",
+)
+class TestReadOnlyRegistry:
+    """A registry indexed while writable, then made read-only."""
+
+    @pytest.mark.parametrize("writer_open", [False, True])
+    def test_warm_index_serves_a_read_only_registry(
+        self, tmp_path, writer_open
+    ):
+        registry = tmp_path / "reg"
+        registry.mkdir()
+        write_registry(registry, n=3)
+        writable = _run(["python", "-m", "repro", "batch", str(registry)])
+        assert writable.returncode == 0, writable.stderr
+        expected = _run(
+            ["python", "-c", _READ_ONLY_PROBE, str(registry), "3"]
+        )
+        assert expected.returncode == 0, expected.stderr
+        db = registry / ".repro-index.sqlite"
+        # An open writer keeps the -wal/-shm sidecars (mode=ro); after
+        # a clean close they are gone (immutable).
+        writer = RegistryIndex(db) if writer_open else None
+        if writer is not None:
+            writer.ping()
+        modes = {}
+        for path in [registry, *registry.iterdir()]:
+            modes[path] = path.stat().st_mode
+            path.chmod(modes[path] & ~0o222)
+        try:
+            batch = _run(
+                ["python", "-m", "repro", "batch", str(registry)],
+                unprivileged=True,
+            )
+            # a new seed: the Monte Carlo read evaluates unrecorded
+            probe = _run(
+                ["python", "-c", _READ_ONLY_PROBE, str(registry), "4"],
+                unprivileged=True,
+            )
+        finally:
+            for path, mode in modes.items():
+                path.chmod(mode)
+            if writer is not None:
+                writer.close()
+        assert batch.returncode == 0, batch.stderr
+        assert batch.stdout == writable.stdout
+        assert "skipped" not in batch.stdout
+        assert "unavailable" not in batch.stderr
+        assert probe.returncode == 0, probe.stderr
+        seen = json.loads(probe.stdout)
+        assert seen["read_only"] is True
+        assert (seen["n_cached"], seen["skipped"]) == (3, 0)
+        assert seen["ranking"] == json.loads(expected.stdout)["ranking"]
+        assert seen["simulated"] == 200
 
 
 class TestMaintenance:

@@ -117,6 +117,45 @@ class TestConcurrency:
             thread.join(timeout=60)
         assert not errors
 
+    def test_edit_between_warm_reads_serves_the_new_body(self, tmp_path):
+        """The index's mirror is shared by the request threads: a file
+        edited between two warm reads (same size, mtime restored, so
+        only ctime moves) must come back with its new content."""
+        import os
+
+        paths = write_registry(tmp_path, n=2)
+        target = "/v1/workspaces/ws-01/ranking"
+        with ServiceServer(
+            tmp_path, port=0, workers=4, access_log=None
+        ) as srv:
+            reads = [fetch(srv, target) for _ in range(3)]
+            assert {status for status, _, _ in reads} == {200}
+            assert reads[-1][1]["X-Cache"] == "hit"
+            before = reads[-1][2]
+            st = os.stat(paths[1])
+            text = paths[1].read_text()
+            paths[1].write_text(text.replace("ws-01", "xs-01"))
+            os.utime(paths[1], ns=(st.st_atime_ns, st.st_mtime_ns))
+            assert os.stat(paths[1]).st_size == st.st_size
+            results = []
+
+            def client() -> None:
+                results.append(fetch(srv, target))
+
+            threads = [threading.Thread(target=client) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        assert [status for status, _, _ in results] == [200] * 4
+        bodies = {raw for _, _, raw in results}
+        assert len(bodies) == 1
+        (after,) = bodies
+        assert after != before
+        assert json.loads(after)["results"][0]["name"] == "xs-01"
+        with ServiceApp(tmp_path) as app:
+            assert app.handle("GET", target).body == after
+
     def test_concurrent_cold_misses_evaluate_once(self, tmp_path):
         write_registry(tmp_path, n=1)
         with ServiceServer(

@@ -369,6 +369,41 @@ class TestOneRegistryWalk:
             listing = json.loads(app.handle("GET", "/v1/registry", {}).body)
         assert [ws["id"] for ws in listing["workspaces"]] == expected
 
+    def test_walk_lists_exactly_these_paths(self, tmp_path, monkeypatch):
+        """The listing every verb shares, pinned path by path: string
+        order, hidden files out, hidden directories in, the explicit
+        ``--index`` file out, however the root is spelled."""
+        from repro.core.runtime import expand_registry_source
+
+        registry = tmp_path / "reg"
+        for rel in (
+            "a/x.json", "a-b/x.json", "a/.hidden.json", "a/deep/y.json",
+            ".cache/z.json", "index.json", "top.json", "notes.txt",
+        ):
+            target = registry / rel
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text("{}")
+        listed = [
+            ".cache/z.json", "a-b/x.json", "a/deep/y.json", "a/x.json",
+            "top.json",
+        ]
+        index = registry / "index.json"
+        assert expand_registry_source(registry, index) == [
+            str(registry / rel) for rel in listed
+        ]
+        assert expand_registry_source(str(registry) + "/", index) == [
+            str(registry / rel) for rel in listed
+        ]
+        monkeypatch.chdir(registry)
+        assert expand_registry_source(".", "index.json") == listed
+        assert expand_registry_source(["a", "top.json"]) == [
+            "a/deep/y.json", "a/x.json", "top.json",
+        ]
+        monkeypatch.chdir(tmp_path)
+        assert expand_registry_source("reg", index) == [
+            f"reg/{rel}" for rel in listed
+        ]
+
     def test_explicit_json_index_is_not_a_workspace(self, capsys, tmp_path):
         registry, members = write_group_fixture(tmp_path)
         db = str(registry / "index.json")
