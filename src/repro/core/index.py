@@ -969,8 +969,7 @@ class RegistryIndex:
         """The stored row for one workspace path, exactly as indexed.
 
         Unlike :meth:`probe` this never touches the filesystem — it is
-        the *previous* recorded identity (or ``None``), which is what
-        the delta-compilation path diffs a changed file against.
+        the recorded identity (or ``None``), component table included.
         """
         return self._with_components(self._stored(self._key(path)))
 
@@ -1118,23 +1117,6 @@ class RegistryIndex:
         )
         return None, ("changed" if stored is not None else "new"), evidence
 
-    def _probe(
-        self, path: Union[str, Path], warm_artifact: bool = False
-    ) -> Tuple[Optional[IndexedWorkspace], str]:
-        """(record, status) for one workspace file; never writes.
-
-        ``status`` is ``"fresh"`` (stat fingerprint matched),
-        ``"touched"`` (bytes unchanged, stat updated), ``"changed"``
-        (content re-hashed), ``"new"`` (no stored row) or ``"error"``
-        (unreadable/unparseable — record is ``None``).
-        """
-        record, status, evidence = self.examine(path)
-        if evidence is not None:
-            record, _ = self.derive(evidence, warm_artifact)
-            if record is None:
-                return None, "error"
-        return record, status
-
     @staticmethod
     def needs_restamp(stored: "IndexedWorkspace") -> bool:
         """Whether re-persisting this unchanged row would now help.
@@ -1183,15 +1165,15 @@ class RegistryIndex:
 
     def probe(
         self, path: Union[str, Path], warm_artifact: bool = False
-    ) -> Optional[IndexedWorkspace]:
-        """The current identity fingerprint of one workspace file.
+    ) -> Tuple[Optional[IndexedWorkspace], str]:
+        """``(record, status)``: :meth:`examine`, then :meth:`derive`.
 
-        Read-only: walks the freshness ladder (stat fingerprint →
-        raw-byte sha → parse-and-hash) and returns the up-to-date
-        :class:`IndexedWorkspace`, or ``None`` when the file is missing
-        or unparseable.  Nothing is written to the database — pass the
-        record to :meth:`record_run` (or use :meth:`build`) to persist
-        it.
+        Read-only.  ``status`` is ``"fresh"`` (stat fingerprint
+        matched), ``"touched"`` (bytes unchanged, stat updated),
+        ``"changed"`` (content re-hashed), ``"new"`` (no stored row) or
+        ``"error"`` (missing or unparseable; ``record`` is ``None``).
+        Pass the record to :meth:`record_run` (or use :meth:`build`) to
+        persist it.
 
         Parameters
         ----------
@@ -1202,28 +1184,21 @@ class RegistryIndex:
             compile and persist the ``.npz`` artifact (what
             ``repro index build`` does).
         """
-        record, _ = self._probe(path, warm_artifact=warm_artifact)
-        return record
-
-    def probe_with_status(
-        self, path: Union[str, Path], warm_artifact: bool = False
-    ) -> Tuple[Optional[IndexedWorkspace], str]:
-        """:meth:`probe` plus how the record relates to the stored row.
-
-        Returns ``(record, status)`` where ``status`` is ``"fresh"``
-        (stat fingerprint matched the stored row — nothing to persist),
-        ``"touched"`` / ``"changed"`` / ``"new"`` (the record is newer
-        than the database; pass it to :meth:`record_probes` or
-        :meth:`record_run` to persist) or ``"error"`` (record is
-        ``None``).  Read-only, like :meth:`probe`.
-        """
-        return self._probe(path, warm_artifact=warm_artifact)
+        record, status, evidence = self.examine(path)
+        if evidence is not None:
+            record, _ = self.derive(evidence, warm_artifact)
+            if record is None:
+                return None, "error"
+        return record, status
 
     def record_probes(self, records: Iterable[IndexedWorkspace]) -> None:
         """Persist probe fingerprints alone, in one transaction.
 
-        For read paths that probe many workspaces without evaluating
-        (e.g. the query service's registry listing): upserting the
+        For the read paths that fingerprint workspaces without
+        evaluating them (the query service's registry listing, which
+        must also list files that parse but cannot be evaluated, a
+        workspace read whose runner call failed, and ``repro registry
+        pull``): upserting the
         fingerprints lets every later probe take the stat-fingerprint
         fast path instead of re-hashing unchanged files.  A no-op on a
         read-only index.
@@ -1666,7 +1641,7 @@ class RegistryIndex:
         counts = {"fresh": 0, "touched": 0, "changed": 0, "new": 0, "error": 0}
         records: List[IndexedWorkspace] = []
         for path in paths:
-            record, status = self._probe(path, warm_artifact=warm_artifacts)
+            record, status = self.probe(path, warm_artifact=warm_artifacts)
             counts[status] += 1
             if record is not None and status != "fresh":
                 records.append(record)
@@ -1844,7 +1819,7 @@ class RegistryIndex:
         released: List[str] = []
         held: List[str] = []
         for path, row in sorted(self.quarantine_map().items()):
-            record, status = self._probe(path, warm_artifact=True)
+            record, status = self.probe(path, warm_artifact=True)
             if record is not None and status != "error":
                 released.append(path)
             else:

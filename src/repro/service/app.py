@@ -61,15 +61,16 @@ working as aliases of the *default* registry and answer
 byte-identically to their ``/v1/registries/{default}/...``
 equivalents, plus ``Deprecation``/``Sunset`` headers.
 
-Read-through contract: ranking/montecarlo answers come from the
-registry index when the workspace's content hash has cached rows for
-the requested configuration — the *exact* floats ``repro batch``
-stored.  On a miss the workspace is compiled and evaluated via
-:class:`~repro.core.runtime.ShardedRunner` (under the registry's
-single writer lock) and the fresh rows are committed back through
-:meth:`~repro.core.index.RegistryIndex.record_run`, so the server and
-the batch CLI share one cache and serve byte-identical numbers in
-either direction.
+Read-through contract: a read starts with
+:meth:`~repro.core.index.RegistryIndex.examine`; a fresh row's cached
+ranking/montecarlo rows are the *exact* floats ``repro batch`` stored.
+Anything else is one :class:`~repro.core.runtime.ShardedRunner` run
+under the registry's single writer lock, as in ``repro batch
+--follow``: one derive, a delta patch, and fingerprint plus fresh rows
+in one :meth:`~repro.core.index.RegistryIndex.record_run`, so the
+server and the batch CLI share one cache and serve byte-identical
+numbers in either direction.  A runner call that fails only fails a
+read the index cannot answer without it.
 
 Hardening: a static bearer token (``repro serve --auth-token``) gates
 every non-public route; bodies ≥ :data:`_GZIP_MIN_BYTES` gzip when
@@ -103,7 +104,7 @@ from urllib.parse import parse_qs, unquote, urlsplit
 from ..core import workspace as _workspace
 from ..core.engine import BatchEvaluator, compile_problem
 from ..core.group import load_members, members_digest
-from ..core.index import RegistryIndex, eval_config_hash
+from ..core.index import ProbeEvidence, RegistryIndex, eval_config_hash
 from ..core.runtime import (
     BatchOptions,
     ShardedRunner,
@@ -1104,19 +1105,22 @@ class ServiceApp:
     def _h_registry(self, request: Request) -> Response:
         """The workspace listing with identity fingerprints."""
         state = self._state_for(request)
+        index = state.index
         workspaces = []
-        fresh_records = []
+        to_record = []
         for path in map(
             Path, expand_registry_source(state.root, state.index_path)
         ):
             ws_id = path.relative_to(state.root).with_suffix("").as_posix()
-            record, status = state.index.probe_with_status(path)
+            record, status, evidence = index.examine(path)
+            if evidence is not None:
+                record, _ = index.derive(evidence)
             if record is None:
                 workspaces.append({"id": ws_id, "error": "unreadable"})
                 continue
-            if status != "fresh":
-                self._absorb_edit(state, ws_id, path, record, status)
-                fresh_records.append(record)
+            self._absorb_edit(state, ws_id, evidence, record)
+            if status != "fresh" or index.needs_restamp(record):
+                to_record.append(record)
             workspaces.append(
                 {
                     "id": ws_id,
@@ -1128,16 +1132,15 @@ class ServiceApp:
                     "n_attributes": record.n_attributes,
                 }
             )
-        if fresh_records:
-            # persist the fingerprints so the next listing (and every
-            # ranking probe) takes the stat fast path instead of
-            # re-hashing unchanged files
+        if to_record:
+            # the one read that records fingerprints without evaluating
+            # (it lists files that parse but cannot be evaluated)
             with state.write_lock:
-                state.index.record_probes(fresh_records)
+                index.record_probes(to_record)
         payload = {
             "name": state.name,
             "registry": str(state.root),
-            "index": state.index.status(),
+            "index": index.status(),
             "n_workspaces": len(workspaces),
             "workspaces": workspaces,
         }
@@ -1215,44 +1218,74 @@ class ServiceApp:
             raise ServiceError(404, f"unknown workspace {ws_id!r}")
         return path
 
-    def _probe(self, state: RegistryState, ws_id: str, path: Path):
-        """Probe one workspace, absorbing any edit incrementally.
+    def _probe(
+        self,
+        state: RegistryState,
+        ws_id: str,
+        path: Path,
+        options: Optional[BatchOptions] = None,
+    ):
+        """The workspace's current row, recorded by the runner when due.
 
-        A changed file goes through :meth:`_absorb_edit`, and the fresh
-        fingerprint is persisted so every later probe takes the stat
-        fast path.
+        A ``fresh`` row that needs no re-stamp is returned as stored.
+        Any other goes through one :meth:`_evaluate_through` run under
+        the read's ``options`` (ranking defaults when ``None``), as a
+        ``--follow`` cycle would: one derive, a delta patch, one
+        ``record_run`` and a fresh artifact for the screening reads.
+        A read-only index cannot record, so there it derives instead.
+
+        Recording is an optimisation, so a failed run (open circuit,
+        evaluation error, content the runner skips) does not fail a
+        read the index can answer: the row is derived read-only and
+        its fingerprint recorded alone, as the listing does.  Only a
+        read whose results the index lacks raises the run's error,
+        so a failing evaluation is attempted and counted once.
         """
-        record, status = state.index.probe_with_status(path)
+        index = state.index
+        record, status, evidence = index.examine(path)
+        recordable = not index.read_only
+        if status == "fresh" and not (recordable and index.needs_restamp(record)):
+            return record
+        failure = None
+        if recordable:
+            try:
+                self._evaluate_through(state, ws_id, path, options or BatchOptions())
+            except ServiceError as exc:
+                failure = exc
+        record, _ = index.probe(path)
         if record is None:
             raise ServiceError(
                 409,
                 f"workspace {ws_id!r} exists but cannot be parsed",
                 code="workspace_invalid",
             )
-        if status != "fresh":
-            self._absorb_edit(state, ws_id, path, record, status)
+        self._absorb_edit(state, ws_id, evidence, record)
+        if failure is not None:
             with state.write_lock:
-                state.index.record_probes([record])
+                index.record_probes([record])
+            if options is not None:
+                config_hash = eval_config_hash(options)
+                if index.lookup_results(record.content_hash, config_hash) is None:
+                    raise failure
         return record
 
     def _absorb_edit(
         self,
         state: RegistryState,
         ws_id: str,
-        path: Path,
+        evidence: Optional[ProbeEvidence],
         record,
-        status: str,
     ) -> None:
         """Evict the responses a changed workspace's edit superseded.
 
-        The responses rendered from its *previous* content hash leave
-        the registry's LRU (targeted invalidation instead of waiting
-        for them to age out) and the cache warmer, when enabled, is
+        ``evidence`` is what :meth:`RegistryIndex.examine` saw before
+        the edit was recorded; its ``stored`` row carries the previous
+        content hash.  The responses rendered from that hash leave the
+        registry's LRU (targeted invalidation instead of waiting for
+        them to age out) and the cache warmer, when enabled, is
         notified.  :meth:`_probe` and the listing share this step.
         """
-        if status != "changed":
-            return
-        old = state.index.lookup_workspace(path)
+        old = evidence.stored if evidence is not None else None
         if old is not None and old.content_hash != record.content_hash:
             state.cache.invalidate(old.content_hash)
             self._notify_warm(state.name, ws_id)
@@ -1360,7 +1393,7 @@ class ServiceApp:
         options: BatchOptions,
         headers: Mapping[str, str],
     ) -> Response:
-        record = self._probe(state, ws_id, path)
+        record = self._probe(state, ws_id, path, options)
         config_hash = eval_config_hash(options)
         verb = "montecarlo" if options.simulations else "ranking"
         etag = make_etag(verb, record.content_hash, config_hash)
@@ -1369,9 +1402,7 @@ class ServiceApp:
         def build() -> bytes:
             rows = state.index.lookup_results(record.content_hash, config_hash)
             if rows is None:
-                rows = self._evaluate_through(
-                    state, ws_id, path, options, config_hash
-                )
+                rows = self._evaluate_through(state, ws_id, path, options)
             return _dumps(
                 self._results_payload(ws_id, record.content_hash, options, rows)
             )
@@ -1424,16 +1455,16 @@ class ServiceApp:
         ws_id: str,
         path: Path,
         options: BatchOptions,
-        config_hash: str,
     ):
-        """The read-through miss: evaluate and commit via the index.
+        """The read-through: probe, evaluate and commit via the runner.
 
-        Serialised on the registry's write lock so concurrent misses
-        for the same workspace evaluate once and the index keeps
+        Serialised on the registry's write lock so the index keeps
         exactly one writer at a time.  The runner probes, evaluates,
         and persists through :meth:`RegistryIndex.record_run` — the
         same single-writer path ``repro batch`` uses — so the
-        committed rows are the ones a batch run would cache.
+        committed rows are the ones a batch run would cache; a row
+        another thread committed while this one waited for the lock
+        comes back from the runner's own probe as cached.
 
         Guarded by the registry's :class:`_CircuitBreaker`: while the
         circuit is open this raises 503 + ``Retry-After`` immediately,
@@ -1453,14 +1484,6 @@ class ServiceApp:
             )
         try:
             with state.write_lock:
-                probed = state.index.probe(path)
-                if probed is not None:
-                    rows = state.index.lookup_results(
-                        probed.content_hash, config_hash
-                    )
-                    if rows is not None:
-                        state.breaker.record_success()
-                        return rows
                 report = ShardedRunner(workers=1, options=options).run(
                     [str(path)], index=state.index
                 )
@@ -1556,8 +1579,8 @@ class ServiceApp:
                 "no member roster configured; start the service with "
                 "a members file (repro serve --members FILE)",
             )
-        record = self._probe(state, ws_id, path)
         options = BatchOptions(group=self.members_spec)
+        record = self._probe(state, ws_id, path, options)
         config_hash = eval_config_hash(options)
         etag = make_etag("group", record.content_hash, config_hash)
         key = ("group", record.content_hash, config_hash)
@@ -1565,9 +1588,7 @@ class ServiceApp:
         def build() -> bytes:
             rows = state.index.lookup_results(record.content_hash, config_hash)
             if rows is None:
-                rows = self._evaluate_through(
-                    state, ws_id, path, options, config_hash
-                )
+                rows = self._evaluate_through(state, ws_id, path, options)
             group_json = rows[0].group_json
             if group_json is None:  # pragma: no cover - defensive
                 raise ServiceError(

@@ -265,13 +265,13 @@ def pull_registry(
     with RegistryIndex(src_db) as src_index, RegistryIndex(dst_db) as dst_index:
         for path in files:
             rel = path.relative_to(src)
-            record = src_index.probe(path)
+            record, _ = src_index.probe(path)
             if record is None:
                 unreadable += 1
                 continue
             target = dst / rel
             existing = (
-                dst_index.probe(target) if target.is_file() else None
+                dst_index.probe(target)[0] if target.is_file() else None
             )
             if existing is not None and (
                 existing.content_hash == record.content_hash
@@ -295,7 +295,7 @@ def pull_registry(
             lineage_added += dst_index.import_versions(
                 target, src_index.version_rows(path)
             )
-            probed = dst_index.probe(target)
+            probed, _ = dst_index.probe(target)
             if probed is not None:
                 dst_index.record_probes([probed])
     return PullReport(

@@ -75,7 +75,7 @@ class TestEvalConfigHash:
 class TestProbe:
     def test_new_file_is_fingerprinted(self, tmp_path, index):
         (path,) = write_registry(tmp_path, n=1)
-        record = index.probe(path)
+        record, _ = index.probe(path)
         assert record is not None
         assert record.path == os.path.abspath(str(path))
         assert record.content_hash == workspace.content_hash(
@@ -90,41 +90,41 @@ class TestProbe:
 
     def test_stat_fast_path_trusts_stored_hashes(self, tmp_path, index):
         (path,) = write_registry(tmp_path, n=1)
-        record = index.probe(path)
+        record, _ = index.probe(path)
         index.record_run([record], {}, "cfg")
-        again, status = index._probe(path)
+        again, status = index.probe(path)
         assert status == "fresh"
         assert again == record
 
     def test_touch_keeps_content_hash(self, tmp_path, index):
         (path,) = write_registry(tmp_path, n=1)
-        record = index.probe(path)
+        record, _ = index.probe(path)
         index.record_run([record], {}, "cfg")
         os.utime(path, ns=(record.mtime_ns + 10**9, record.mtime_ns + 10**9))
-        again, status = index._probe(path)
+        again, status = index.probe(path)
         assert status == "touched"
         assert again.content_hash == record.content_hash
         assert again.mtime_ns != record.mtime_ns
 
     def test_edit_changes_content_hash(self, tmp_path, index):
         (path,) = write_registry(tmp_path, n=1)
-        record = index.probe(path)
+        record, _ = index.probe(path)
         index.record_run([record], {}, "cfg")
         mutate(path)
-        again, status = index._probe(path)
+        again, status = index.probe(path)
         assert status == "changed"
         assert again.content_hash != record.content_hash
 
     def test_missing_or_corrupt_file_probes_none(self, tmp_path, index):
-        assert index.probe(tmp_path / "nope.json") is None
+        assert index.probe(tmp_path / "nope.json") == (None, "error")
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
-        assert index.probe(bad) is None
+        assert index.probe(bad) == (None, "error")
 
     def test_fresh_npz_supplies_hash_without_parsing(self, tmp_path, index):
         (path,) = write_registry(tmp_path, n=1)
         workspace.load_compiled_fast(path)  # persists the .npz sibling
-        record = index.probe(path)
+        record, _ = index.probe(path)
         assert record.npz_source_sha == record.source_sha
         assert record.content_hash == workspace.content_hash(
             workspace.load(path)
@@ -134,7 +134,7 @@ class TestProbe:
         (path,) = write_registry(tmp_path, n=1)
         npz = workspace.compiled_array_path(path)
         assert not npz.exists()
-        record = index.probe(path, warm_artifact=True)
+        record, _ = index.probe(path, warm_artifact=True)
         assert npz.exists()
         assert record.npz_source_sha == record.source_sha
 
@@ -293,7 +293,7 @@ class TestIndexedRuns:
         (path,) = write_registry(tmp_path, n=1)
         runner = ShardedRunner(workers=1)
         with RegistryIndex(tmp_path / "index.sqlite") as index:
-            record = index.probe(path)
+            record, _ = index.probe(path)
             stale = dc_replace(record, mtime_ns=record.mtime_ns - 1)
             report = runner.run([path])  # fresh results, no index
             runner._persist_run(
@@ -471,7 +471,7 @@ class TestDeferredIngest:
                 rows[workers] = stored_rows(index, paths)
         drop_artifacts(paths)
         with RegistryIndex(tmp_path / "probe.sqlite") as index:
-            probed = [index.probe(path) for path in paths]
+            probed = [index.probe(path)[0] for path in paths]
         # IndexedWorkspace equality ignores recorded_ns and
         # component_json, so the component tables are compared apart
         assert rows[1] == rows[2] == probed
@@ -513,7 +513,7 @@ class TestStalenessRegression:
 
     def _recorded(self, tmp_path, index):
         (path,) = write_registry(tmp_path, n=1)
-        record = index.probe(path)
+        record, _ = index.probe(path)
         index.record_run([record], {}, "cfg")
         return path, record
 
@@ -533,7 +533,7 @@ class TestStalenessRegression:
         st_after = os.stat(path)
         assert st_after.st_mtime_ns == st_before.st_mtime_ns
         assert st_after.st_size == st_before.st_size
-        fresh, status = index.probe_with_status(path)
+        fresh, status = index.probe(path)
         assert status == "changed"
         assert fresh.content_hash != record.content_hash
 
@@ -553,7 +553,7 @@ class TestStalenessRegression:
             (st.st_mtime_ns, st.st_size, st.st_ctime_ns, record.path),
         )
         index._conn.commit()
-        fresh, status = index.probe_with_status(path)
+        fresh, status = index.probe(path)
         assert status == "changed"
         assert fresh.content_hash != record.content_hash
 
@@ -577,7 +577,7 @@ class TestStalenessRegression:
             lambda p: (reads.append(p), real(p))[1],
         )
         with RegistryIndex(index.db_path) as prober:
-            fresh, status = prober.probe_with_status(path)
+            fresh, status = prober.probe(path)
             assert status == "fresh"
             assert fresh == record
             assert reads == []
@@ -637,7 +637,7 @@ class TestMirror:
             # first's mirror still holds the old row ...
             assert first._mirrored().rows[stale.path] is stale
             # ... which the ladder classifies as changed, not fresh
-            record, status = first.probe_with_status(paths[1])
+            record, status = first.probe(paths[1])
             assert status == "changed"
             assert record.content_hash == new_hash
             rows = first.lookup_results(new_hash, config)
@@ -651,7 +651,7 @@ class TestMirror:
         """The forged row is this instance's own write, so the mirror
         serves it; the recording-window byte check still catches it."""
         (path,) = write_registry(tmp_path, n=1)
-        record = index.probe(path)
+        record, _ = index.probe(path)
         index.record_run([record], {}, "cfg")
         text = path.read_text()
         path.write_text(text.replace("ws-00", "xs-00"))
@@ -670,7 +670,7 @@ class TestMirror:
         assert (mirrored.mtime_ns, mirrored.size, mirrored.ctime_ns) == (
             st.st_mtime_ns, st.st_size, st.st_ctime_ns,
         )
-        fresh, status = index.probe_with_status(path)
+        fresh, status = index.probe(path)
         assert status == "changed"
         assert fresh.content_hash != record.content_hash
 
@@ -678,12 +678,12 @@ class TestMirror:
         """Outside the recording window only ``ctime`` can tell."""
         (path,) = write_registry(tmp_path, n=1)
         self._age([path])
-        record = index.probe(path)
+        record, _ = index.probe(path)
         index.record_run([record], {}, "cfg")
         mirrored = index._mirrored().rows[record.path]
         assert not index._needs_byte_check(mirrored, os.stat(path))
         self._rewrite_keeping_mtime(path)
-        fresh, status = index.probe_with_status(path)
+        fresh, status = index.probe(path)
         assert status == "changed"
         assert fresh.content_hash != record.content_hash
 
@@ -720,7 +720,7 @@ class TestMirror:
         """A mirrored row has no component table; re-stamping it must
         not erase the stored one."""
         (path,) = write_registry(tmp_path, n=1)
-        record = index.probe(path)
+        record, _ = index.probe(path)
         index.record_run([record], {}, "cfg")
         mirrored = index._mirrored().rows[record.path]
         assert mirrored.component_json is None
@@ -1131,7 +1131,7 @@ class TestConcurrency:
         with RegistryIndex(tmp_path / "index.sqlite") as index:
             runner = ShardedRunner(workers=1)
             runner.run(paths, index=index)  # seed every content hash
-            hashes = [index.probe(p).content_hash for p in paths]
+            hashes = [index.probe(p)[0].content_hash for p in paths]
 
             stop = threading.Event()
             errors = []
@@ -1144,7 +1144,7 @@ class TestConcurrency:
                         assert rows is None or (
                             len(rows) == 1 and rows[0].sub_index == 0
                         )
-                        record = index.probe(paths[0])
+                        record, _ = index.probe(paths[0])
                         assert record is not None
                         assert index.status()["n_workspaces"] == 4
                 except Exception as exc:  # pragma: no cover - failure detail

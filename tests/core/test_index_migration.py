@@ -270,7 +270,7 @@ class TestWorkspaceTailMigration:
             assert stored is not None
             assert stored.ctime_ns is None
             assert stored.component_json is None
-            record, status = index.probe_with_status(path)
+            record, status = index.probe(path)
             assert status == "touched"
             assert record.content_hash == content
             assert record.ctime_ns == st.st_ctime_ns

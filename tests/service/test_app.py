@@ -132,7 +132,7 @@ class TestRanking:
     ):
         get(app, "/v1/workspaces/ws-00/ranking")
         config_hash = eval_config_hash(BatchOptions())
-        record = app.index.probe(registry[0])
+        record, _ = app.index.probe(registry[0])
         rows = app.index.lookup_results(record.content_hash, config_hash)
         assert rows is not None and rows[0].sub_index == 0
         # a batch run over the same registry now counts it as cached
@@ -368,7 +368,7 @@ class TestRegistryListing:
         ids = [entry["id"] for entry in payload["workspaces"]]
         assert ids == sorted(f"ws-{i:02d}" for i in range(len(registry)))
         entry = payload["workspaces"][0]
-        record = app.index.probe(registry[0])
+        record, _ = app.index.probe(registry[0])
         assert entry["content_hash"] == record.content_hash
         assert entry["source_sha"] == record.source_sha
         assert (entry["n_alternatives"], entry["n_attributes"]) == (3, 3)

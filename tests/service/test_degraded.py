@@ -197,7 +197,7 @@ def _kill_index(app, monkeypatch):
     def explode(*args, **kwargs):
         raise sqlite3.OperationalError("database disk image is malformed")
 
-    for name in ("probe_with_status", "probe", "ping", "lookup_results"):
+    for name in ("examine", "probe", "ping", "lookup_results"):
         monkeypatch.setattr(app.index, name, explode)
 
 
