@@ -31,9 +31,9 @@ Subcommands map onto the paper's workflow:
   engine's members tensor axis (see ``docs/group.md``).  ``repro batch
   --group FILE`` rides the same axis inside a batch run.
 * ``repro serve --registry DIR [--members FILE] [--mount NAME=DIR]
-  [--auth-token TOKEN] [--warm-writes]`` — serve cached registry
-  rankings (and group results) over the federated, versioned v1 HTTP
-  API (the registry query service; see ``docs/service.md``).
+  [--auth-token TOKEN]`` — serve cached registry rankings (and group
+  results) over the federated, versioned v1 HTTP API (the registry
+  query service; see ``docs/service.md``).
 * ``repro registry pull SRC DST`` — registry-to-registry sync:
   workspaces copy skip-if-present by content hash and their cached
   result sets travel through the index (idempotent).
@@ -406,15 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "require 'Authorization: Bearer TOKEN' on every non-public "
             "route (default: no auth)"
-        ),
-    )
-    p_serve.add_argument(
-        "--warm-writes",
-        action="store_true",
-        dest="warm_writes",
-        help=(
-            "pre-evaluate edited workspaces in the background so the "
-            "next read is already warm"
         ),
     )
     p_serve.add_argument(
@@ -1298,7 +1289,6 @@ def _cmd_serve(
     members_path: Optional[str] = None,
     mounts: Optional[List[str]] = None,
     auth_token: Optional[str] = None,
-    warm_writes: bool = False,
 ) -> int:
     """``repro serve``: run the registry query service until interrupted.
 
@@ -1349,7 +1339,6 @@ def _cmd_serve(
             members_path=members_path,
             mounts=mount_map,
             auth_token=auth_token,
-            warm_writes=warm_writes,
         )
     except ValueError as exc:
         raise SystemExit(f"cannot start service: {exc}") from exc
@@ -1534,7 +1523,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 args.members_path,
                 mounts=args.mounts,
                 auth_token=args.auth_token,
-                warm_writes=args.warm_writes,
             )
         if args.command == "registry":
             return _cmd_registry_pull(

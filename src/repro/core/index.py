@@ -81,9 +81,9 @@ it grows with the registry, not with its history.
 A database that cannot be written (a read-only mount, or an index
 file or directory without write permission) is opened read-only: the
 warm index still serves probes and cached results, and the recording
-calls (:meth:`RegistryIndex.record_run`, :meth:`RegistryIndex.record_probes`,
-quarantine bookkeeping) become no-ops, so a run evaluates what it
-cannot serve without recording it.
+calls (:meth:`RegistryIndex.record_run`, quarantine bookkeeping)
+become no-ops, so a run evaluates what it cannot serve without
+recording it.
 """
 
 from __future__ import annotations
@@ -1191,26 +1191,6 @@ class RegistryIndex:
                 return None, "error"
         return record, status
 
-    def record_probes(self, records: Iterable[IndexedWorkspace]) -> None:
-        """Persist probe fingerprints alone, in one transaction.
-
-        For the read paths that fingerprint workspaces without
-        evaluating them (the query service's registry listing, which
-        must also list files that parse but cannot be evaluated, a
-        workspace read whose runner call failed, and ``repro registry
-        pull``): upserting the
-        fingerprints lets every later probe take the stat-fingerprint
-        fast path instead of re-hashing unchanged files.  A no-op on a
-        read-only index.
-        """
-        records = list(records)
-        if not records or self.read_only:
-            return
-        with self._conn:
-            self._conn.execute("BEGIN IMMEDIATE")
-            stamped = [self._upsert_workspace(record) for record in records]
-        self._publish(stamped)
-
     # ------------------------------------------------------------------
     # Result cache
     # ------------------------------------------------------------------
@@ -1298,29 +1278,39 @@ class RegistryIndex:
     def record_run(
         self,
         records: Iterable[IndexedWorkspace],
-        results: Mapping[str, Sequence[CachedResult]],
-        config_hash: str,
+        results: Optional[Mapping[str, Sequence[CachedResult]]] = None,
+        config_hash: str = "",
     ) -> None:
-        """Persist one run's fingerprints and fresh results atomically.
+        """Persist fingerprints and fresh results atomically.
 
-        The single-writer merge step: everything lands in one
-        ``BEGIN IMMEDIATE`` transaction — every probed workspace row is
+        The index's one write: everything lands in one ``BEGIN
+        IMMEDIATE`` transaction — every probed workspace row is
         upserted and, for each ``content_hash`` in ``results``, the old
         row set under ``config_hash`` is replaced by the new one.  A
-        reader (or a crash) sees the index before or after the run,
+        reader (or a crash) sees the index before or after the write,
         never in between.  A no-op on a read-only index.
+
+        Without ``results`` it records fingerprints alone, for the
+        reads that fingerprint workspaces without evaluating them: the
+        query service's registry listing (which must also list files
+        that parse but cannot be evaluated), a workspace read whose
+        runner call failed, and ``repro registry pull``.  Every later
+        probe of those files then takes the stat-fingerprint fast path
+        instead of re-hashing them.
 
         Parameters
         ----------
         records : iterable of IndexedWorkspace
             Fingerprints from :meth:`probe` for this run's registry.
-        results : mapping of str to sequence of CachedResult
+        results : mapping of str to sequence of CachedResult, optional
             Freshly evaluated row sets keyed by content hash.  Cached
             hits need not (and should not) be re-stored.
-        config_hash : str
-            :func:`eval_config_hash` of the run's options.
+        config_hash : str, optional
+            :func:`eval_config_hash` of the run's options; only read
+            when ``results`` are given.
         """
         records = list(records)
+        results = results or {}
         if self.read_only or not (records or results):
             return
         with _span("index.record_run", entries=len(results)), self._conn:

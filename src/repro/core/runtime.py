@@ -457,6 +457,17 @@ def _expand(
     return expansion
 
 
+#: What loading or expanding one workspace raises for bad content.
+_LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError)
+
+
+def _skipped(index: int, path: str, exc: Exception) -> SkippedWorkspace:
+    """The report entry of a workspace that failed to load or expand."""
+    return SkippedWorkspace(
+        index=index, path=path, error=f"{type(exc).__name__}: {exc}"
+    )
+
+
 def _load_chunk_problems(
     chunk: Sequence[Tuple[int, str]],
     options: BatchOptions,
@@ -500,14 +511,8 @@ def _load_chunk_problems(
                 )
             if index in identify:
                 identities[index] = identity
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            skipped.append(
-                SkippedWorkspace(
-                    index=index,
-                    path=path,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+        except _LOAD_ERRORS as exc:
+            skipped.append(_skipped(index, path, exc))
     return loaded, skipped, identities
 
 
@@ -863,6 +868,10 @@ class ShardedRunner:
         pending = indexed
         to_evaluate = indexed
         delta_loaded: List[tuple] = []
+        # entries expanded from the probe's own parse, evaluated with
+        # the delta entries, and the ones whose expansion failed
+        parsed_loaded: List[tuple] = []
+        parse_skipped: List[SkippedWorkspace] = []
         records: Dict[str, object] = {}
         # registry index -> the stat taken when its probe was deferred
         deferred: Dict[int, os.stat_result] = {}
@@ -880,11 +889,11 @@ class ShardedRunner:
             # so it needs the artifact machinery and a configuration the
             # fast path can serve: no object-graph expansions
             # (objectives/group) and no forced re-evaluation.
+            needs_graph = (
+                self.options.objectives or self.options.group is not None
+            )
             delta_ok = (
-                not refresh
-                and self.options.use_disk_cache
-                and not self.options.objectives
-                and self.options.group is None
+                not refresh and self.options.use_disk_cache and not needs_graph
             )
             pending = []
             to_evaluate = []
@@ -935,6 +944,19 @@ class ShardedRunner:
                                     (i, 0, path, delta.compiled, None)
                                 )
                                 continue
+                        if needs_graph and ingested is not None:
+                            # Expansions need the object graph the
+                            # probe just parsed: a chunk would parse
+                            # the file a second time.
+                            try:
+                                parsed_loaded.extend(
+                                    _expand(
+                                        i, path, ingested.problem, self.options
+                                    )
+                                )
+                            except _LOAD_ERRORS as exc:
+                                parse_skipped.append(_skipped(i, path, exc))
+                            continue
                         to_evaluate.append((i, path))
                         continue
                     n_cached += 1
@@ -962,17 +984,16 @@ class ShardedRunner:
         identities: Dict[int, object] = {}
         identify = frozenset(deferred)
         n_stacks = 0
-        if delta_loaded:
+        if delta_loaded or parsed_loaded:
             # The sliced re-evaluation: only the delta-compiled members
-            # run, in-process, through the same evaluation loop the
-            # chunk workers use.  Monte Carlo runs are full per-problem
-            # re-evaluations here — each problem's seeded stream is its
-            # own, so this is still bit-identical to a cold run.
-            delta_results, delta_stacks = _evaluate_loaded(
-                delta_loaded, self.options
+            # and those expanded from the probe's parse run, in-process,
+            # through the same evaluation loop the chunk workers use.
+            # Monte Carlo runs are full per-problem re-evaluations here
+            # — each problem's seeded stream is its own, so this is
+            # still bit-identical to a cold run.
+            results, n_stacks = _evaluate_loaded(
+                delta_loaded + parsed_loaded, self.options
             )
-            results.extend(delta_results)
-            n_stacks += delta_stacks
         n_retried = 0
         newly_quarantined: List[SkippedWorkspace] = []
         if self.workers == 1 or len(chunks) <= 1:
@@ -1041,6 +1062,7 @@ class ShardedRunner:
         self._count_run(
             n_cached, len(delta_loaded), n_retried, len(newly_quarantined)
         )
+        skipped.extend(parse_skipped)
         skipped.extend(newly_quarantined)
         skipped.extend(quarantine_skipped)
         results.extend(cached_results)

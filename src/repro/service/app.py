@@ -16,9 +16,9 @@ Resource model (v1)
 -------------------
 ``registries → workspaces → versions → results``.  A
 :class:`~repro.service.federation.Federation` mounts many named
-registries, each with its own index, response LRU, stale cache and
-circuit breaker, so one registry's edit bursts or failure storms
-never degrade another:
+registries, each with its own index, response cache and circuit
+breaker, so one registry's edit bursts or failure storms never
+degrade another:
 
 ``GET /healthz`` / ``GET /metrics`` / ``GET /v1/openapi.json``
     Service-scoped: liveness (per-registry blocks), counters/latency
@@ -39,9 +39,9 @@ never degrade another:
     Ranking plus §V Monte Carlo stats (``simulations``/``method``/
     ``seed`` select the configuration; ``at`` pins the version).
 ``GET /v1/registries/{registry}/workspaces/{id}/dominance``
-    The §V strict-dominance matrix (LRU-cached by content hash).
+    The §V strict-dominance matrix.
 ``GET /v1/registries/{registry}/workspaces/{id}/rankintervals``
-    Attainable-rank intervals (LRU-cached by content hash).
+    Attainable-rank intervals.
 ``GET /v1/registries/{registry}/workspaces/{id}/group``
     The group-decision result under the server's member roster.
 ``GET /v1/registries/{registry}/workspaces/{id}/versions``
@@ -76,8 +76,7 @@ Hardening: a static bearer token (``repro serve --auth-token``) gates
 every non-public route; bodies ≥ :data:`_GZIP_MIN_BYTES` gzip when
 the client sends ``Accept-Encoding: gzip`` (ETag-safe — the validator
 names content identity and ``If-None-Match`` is checked before any
-body is built); ``--warm-writes`` starts a :class:`_CacheWarmer` that
-pre-evaluates edited workspaces in the background.
+body is built).
 
 Errors are uniform: every 4xx/5xx body is the JSON envelope
 ``{"error": {"code", "message", "detail"}}``
@@ -97,14 +96,13 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from queue import Queue
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..core import workspace as _workspace
 from ..core.engine import BatchEvaluator, compile_problem
 from ..core.group import load_members, members_digest
-from ..core.index import ProbeEvidence, RegistryIndex, eval_config_hash
+from ..core.index import RegistryIndex, eval_config_hash
 from ..core.runtime import (
     BatchOptions,
     ShardedRunner,
@@ -325,73 +323,6 @@ class _CircuitBreaker:
             }
 
 
-class _CacheWarmer:
-    """Post-write cache warming: pre-evaluate edited workspaces.
-
-    When a probe detects a workspace edit, the app notifies this
-    warmer (``repro serve --warm-writes``); a single daemon thread
-    replays the default ranking read for the edited workspace so the
-    read-through miss — compile, evaluate, ``record_run`` — is paid
-    *before* the next client request instead of by it.  Failures are
-    swallowed (the foreground path re-raises them properly) and
-    counted under ``repro_cache_warm_total{outcome}``.
-    """
-
-    def __init__(self, app: "ServiceApp") -> None:
-        """Start the warming thread against ``app``."""
-        self._app = app
-        self._queue: "Queue" = Queue()
-        self._cond = threading.Condition()
-        self._pending = 0
-        self._thread = threading.Thread(
-            target=self._run, name="repro-cache-warmer", daemon=True
-        )
-        self._thread.start()
-
-    def notify(self, registry_name: str, ws_id: str) -> None:
-        """Enqueue one edited workspace for background evaluation."""
-        with self._cond:
-            self._pending += 1
-        self._queue.put((registry_name, ws_id))
-
-    def drain(self, timeout: float = 10.0) -> bool:
-        """Block until every queued warm finished; False on timeout."""
-        deadline = time.monotonic() + timeout
-        with self._cond:
-            while self._pending:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(min(remaining, 0.05))
-            return True
-
-    def close(self) -> None:
-        """Stop the warming thread (waits for in-flight work)."""
-        self._queue.put(None)
-        self._thread.join(timeout=5.0)
-
-    def _run(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            name, ws_id = item
-            outcome = "ok"
-            try:
-                self._app._warm(name, ws_id)
-            except Exception:
-                outcome = "error"
-            finally:
-                _obs_metrics.registry().counter(
-                    "repro_cache_warm_total",
-                    "Background cache-warming runs, by outcome.",
-                    labelnames=("outcome",),
-                ).inc(outcome=outcome)
-                with self._cond:
-                    self._pending -= 1
-                    self._cond.notify_all()
-
-
 def _build_routes() -> List[Route]:
     """The service's route table (new v1 surface + legacy aliases)."""
     at_param = QueryParam(
@@ -574,8 +505,8 @@ class ServiceApp:
     Mounts one or more registry directories into a
     :class:`~repro.service.federation.Federation` — each with its own
     :class:`~repro.core.index.RegistryIndex` (shared across request
-    threads; per-thread sqlite connections), response LRU, stale cache
-    and circuit breaker.  All evaluation writes for one registry
+    threads; per-thread sqlite connections), response cache and
+    circuit breaker.  All evaluation writes for one registry
     funnel through its write lock so each index keeps its
     single-writer discipline.
 
@@ -599,9 +530,6 @@ class ServiceApp:
     auth_token : str, optional
         Static bearer token; when set, every non-public route
         requires ``Authorization: Bearer <token>``.
-    warm_writes : bool, optional
-        Start the post-write cache warmer (background pre-evaluation
-        of edited workspaces).
     default_name : str, optional
         The default registry's mount name.
     """
@@ -616,7 +544,6 @@ class ServiceApp:
         members_path: Optional[Union[str, Path]] = None,
         mounts: Optional[Mapping[str, Union[str, Path]]] = None,
         auth_token: Optional[str] = None,
-        warm_writes: bool = False,
         default_name: str = DEFAULT_REGISTRY_NAME,
     ) -> None:
         """Mount the registries and build empty per-registry caches."""
@@ -640,12 +567,8 @@ class ServiceApp:
         )
         for name in sorted(mounts or {}):
             self.federation.mount(name, (mounts or {})[name])
-        # Single-registry compatibility surface (tests, server banner).
-        self.registry_dir = default_state.root
+        # The default registry's index file, for the server banner.
         self.index_path = default_state.index_path
-        self._warmer: Optional[_CacheWarmer] = (
-            _CacheWarmer(self) if warm_writes else None
-        )
 
     # -- single-registry compatibility properties -----------------------
 
@@ -654,20 +577,10 @@ class ServiceApp:
         """The default registry's index (legacy single-registry view)."""
         return self.federation.default.index
 
-    @index.setter
-    def index(self, value: RegistryIndex) -> None:
-        """Swap the default registry's index (tests inject failures)."""
-        self.federation.default.index = value
-
     @property
     def cache(self):
-        """The default registry's response LRU."""
+        """The default registry's response cache."""
         return self.federation.default.cache
-
-    @cache.setter
-    def cache(self, value) -> None:
-        """Swap the default registry's response LRU."""
-        self.federation.default.cache = value
 
     @property
     def breaker(self) -> _CircuitBreaker:
@@ -679,20 +592,8 @@ class ServiceApp:
         """Swap the default registry's breaker (tests inject clocks)."""
         self.federation.default.breaker = value
 
-    @property
-    def _stale(self):
-        """The default registry's stale (last known-good) cache."""
-        return self.federation.default.stale
-
-    @property
-    def _write_lock(self) -> threading.Lock:
-        """The default registry's single-writer lock."""
-        return self.federation.default.write_lock
-
     def close(self) -> None:
-        """Stop the warmer and release every index's connections."""
-        if self._warmer is not None:
-            self._warmer.close()
+        """Release every index's connections."""
         self.federation.close()
 
     def __enter__(self) -> "ServiceApp":
@@ -1112,13 +1013,10 @@ class ServiceApp:
             Path, expand_registry_source(state.root, state.index_path)
         ):
             ws_id = path.relative_to(state.root).with_suffix("").as_posix()
-            record, status, evidence = index.examine(path)
-            if evidence is not None:
-                record, _ = index.derive(evidence)
+            record, status = index.probe(path)
             if record is None:
                 workspaces.append({"id": ws_id, "error": "unreadable"})
                 continue
-            self._absorb_edit(state, ws_id, evidence, record)
             if status != "fresh" or index.needs_restamp(record):
                 to_record.append(record)
             workspaces.append(
@@ -1136,7 +1034,7 @@ class ServiceApp:
             # the one read that records fingerprints without evaluating
             # (it lists files that parse but cannot be evaluated)
             with state.write_lock:
-                index.record_probes(to_record)
+                index.record_run(to_record)
         payload = {
             "name": state.name,
             "registry": str(state.root),
@@ -1171,41 +1069,100 @@ class ServiceApp:
         return self._workspace_get(request, "group")
 
     def _workspace_get(self, request: Request, verb: str) -> Response:
-        """The shared workspace GET: resolve, serve, degrade on outage."""
+        """The one workspace GET: options → probe → ETag → cached body.
+
+        The registry's response cache holds one body per request key
+        ``(verb, ws_id, config_hash)``; ``config_hash`` is
+        :func:`~repro.core.index.eval_config_hash` of the read's options
+        for ranking, montecarlo and group, and ``""`` for the screening
+        verbs.  The ETag names the content the body was rendered from,
+        so an edit replaces the key's entry instead of adding one.
+
+        A pinned ``?at=<hash>`` read never probes or stores: it serves
+        the live entry only when the ETags match and otherwise renders
+        the recorded rows for that hash.  When the index raises
+        ``sqlite3.Error``, a live read replays its key's last body with
+        ``X-Cache: stale`` and ``Warning: 110``; a pinned read replays
+        only an exact ETag match; anything else answers 503 +
+        ``Retry-After``.
+        """
         state = self._state_for(request)
         ws_id = request.path_params["id"]
         path = self._resolve(state, ws_id)
+        options = self._verb_options(verb, request.params)
+        config_hash = "" if options is None else eval_config_hash(options)
+        key = (verb, ws_id, config_hash)
+        at = request.params.get("at")
+        etag = None
         try:
-            at = request.params.get("at")
-            if at is not None and verb in ("ranking", "montecarlo"):
-                options = (
-                    BatchOptions()
-                    if verb == "ranking"
-                    else self._mc_options(request.params)
+            if at is None:
+                record = self._probe(state, ws_id, path, options)
+                content_hash = record.content_hash
+            elif _HEX_HASH.match(str(at)):
+                content_hash = str(at)
+            else:
+                raise ServiceError(
+                    400, f"invalid content hash {at!r} for 'at'"
                 )
-                return self._serve_pinned(
-                    state, ws_id, verb, str(at), options, request.headers
+            etag = (
+                make_etag(verb, content_hash)
+                if options is None
+                else make_etag(verb, content_hash, config_hash)
+            )
+
+            def build() -> bytes:
+                if options is None:
+                    return _dumps(
+                        self._screening_payload(
+                            verb, ws_id, path, content_hash
+                        )
+                    )
+                rows = state.index.lookup_results(content_hash, config_hash)
+                if rows is None and at is not None:
+                    raise ServiceError(
+                        404,
+                        f"no recorded results for content hash {at!r}",
+                        code="version_not_found",
+                        detail={"content_hash": at},
+                    )
+                if rows is None:
+                    rows = self._evaluate_through(
+                        state, ws_id, path, options
+                    )
+                if verb == "group":
+                    return _dumps(
+                        self._group_payload(ws_id, content_hash, rows)
+                    )
+                return _dumps(
+                    self._results_payload(ws_id, content_hash, options, rows)
                 )
-            if verb == "ranking":
-                return self._serve_results(
-                    state, ws_id, path, BatchOptions(), request.headers
-                )
-            if verb == "montecarlo":
-                return self._serve_results(
-                    state,
-                    ws_id,
-                    path,
-                    self._mc_options(request.params),
-                    request.headers,
-                )
-            if verb == "group":
-                return self._serve_group(state, ws_id, path, request.headers)
-            return self._serve_screening(
-                state, verb, ws_id, path, request.headers
+
+            return self._finish(
+                state, key, etag, request.headers, build, store=at is None
             )
         except sqlite3.Error as exc:
             state.breaker.abort_probe()
-            return self._serve_stale(state, verb, ws_id, exc)
+            # a live read replays its key's last body whatever its
+            # version; a pinned read only the version it names
+            entry = state.cache.get(key, etag if at is not None else None)
+            if entry is None:
+                raise ServiceError(
+                    503,
+                    f"registry index unavailable "
+                    f"({type(exc).__name__}: {exc}) and no cached response "
+                    f"for {ws_id!r}",
+                    headers={"Retry-After": "5"},
+                    code="index_unavailable",
+                ) from exc
+            return Response(
+                200,
+                entry.body,
+                headers={
+                    "ETag": entry.etag,
+                    "X-Cache": "stale",
+                    "Warning": '110 - "Response is Stale"',
+                },
+            )
 
     @staticmethod
     def _resolve(state: RegistryState, ws_id: str) -> Path:
@@ -1217,6 +1174,34 @@ class ServiceApp:
         if not path.is_file():
             raise ServiceError(404, f"unknown workspace {ws_id!r}")
         return path
+
+    def _verb_options(
+        self, verb: str, params: Mapping[str, object]
+    ) -> Optional[BatchOptions]:
+        """The evaluation options a verb reads under (``None``: screening).
+
+        A group read needs the server's member roster: without one the
+        endpoint answers 404.  The roster digest is part of the group
+        options' configuration hash, so a restart with another roster
+        serves fresh results while every other cached row stays valid.
+        """
+        if verb == "ranking":
+            return BatchOptions()
+        if verb == "montecarlo":
+            return BatchOptions(
+                simulations=int(params["simulations"]),  # type: ignore[arg-type]
+                method=str(params["method"]),
+                seed=int(params["seed"]),  # type: ignore[arg-type]
+            )
+        if verb == "group":
+            if self.members_spec is None:
+                raise ServiceError(
+                    404,
+                    "no member roster configured; start the service with "
+                    "a members file (repro serve --members FILE)",
+                )
+            return BatchOptions(group=self.members_spec)
+        return None
 
     def _probe(
         self,
@@ -1242,7 +1227,7 @@ class ServiceApp:
         so a failing evaluation is attempted and counted once.
         """
         index = state.index
-        record, status, evidence = index.examine(path)
+        record, status, _ = index.examine(path)
         recordable = not index.read_only
         if status == "fresh" and not (recordable and index.needs_restamp(record)):
             return record
@@ -1259,195 +1244,46 @@ class ServiceApp:
                 f"workspace {ws_id!r} exists but cannot be parsed",
                 code="workspace_invalid",
             )
-        self._absorb_edit(state, ws_id, evidence, record)
         if failure is not None:
             with state.write_lock:
-                index.record_probes([record])
+                index.record_run([record])
             if options is not None:
                 config_hash = eval_config_hash(options)
                 if index.lookup_results(record.content_hash, config_hash) is None:
                     raise failure
         return record
 
-    def _absorb_edit(
-        self,
-        state: RegistryState,
-        ws_id: str,
-        evidence: Optional[ProbeEvidence],
-        record,
-    ) -> None:
-        """Evict the responses a changed workspace's edit superseded.
-
-        ``evidence`` is what :meth:`RegistryIndex.examine` saw before
-        the edit was recorded; its ``stored`` row carries the previous
-        content hash.  The responses rendered from that hash leave the
-        registry's LRU (targeted invalidation instead of waiting for
-        them to age out) and the cache warmer, when enabled, is
-        notified.  :meth:`_probe` and the listing share this step.
-        """
-        old = evidence.stored if evidence is not None else None
-        if old is not None and old.content_hash != record.content_hash:
-            state.cache.invalidate(old.content_hash)
-            self._notify_warm(state.name, ws_id)
-
-    def _notify_warm(self, registry_name: str, ws_id: str) -> None:
-        """Queue a background pre-evaluation when warming is enabled."""
-        if self._warmer is not None:
-            self._warmer.notify(registry_name, ws_id)
-
-    def _warm(self, registry_name: str, ws_id: str) -> None:
-        """One background warm: replay the default ranking read."""
-        state = self.federation.get(registry_name)
-        if state is None:
-            return
-        path = state.root / (ws_id + ".json")
-        if not path.is_file():
-            return
-        self._serve_results(state, ws_id, path, BatchOptions(), {})
-
     @staticmethod
-    def _mc_options(params: Mapping[str, object]) -> BatchOptions:
-        """Monte Carlo options from the route's coerced parameters."""
-        return BatchOptions(
-            simulations=int(params["simulations"]),  # type: ignore[arg-type]
-            method=str(params["method"]),
-            seed=int(params["seed"]),  # type: ignore[arg-type]
-        )
-
-    def _serve_stale(
-        self,
-        state: RegistryState,
-        verb: str,
-        ws_id: str,
-        exc: sqlite3.Error,
-    ) -> Response:
-        """Degraded read: the last known-good body for this endpoint.
-
-        Reached when the registry index raises ``sqlite3.Error`` while
-        serving a workspace GET.  If this endpoint answered before, the
-        stored body is replayed with ``X-Cache: stale`` and the RFC
-        7234 ``Warning: 110`` header so clients know it may be out of
-        date; otherwise the outage surfaces as 503 + ``Retry-After``.
-        """
-        stale = state.stale.get((verb, ws_id))
-        if stale is None:
-            raise ServiceError(
-                503,
-                f"registry index unavailable "
-                f"({type(exc).__name__}: {exc}) and no cached response "
-                f"for {ws_id!r}",
-                headers={"Retry-After": "5"},
-                code="index_unavailable",
-            ) from exc
-        return Response(
-            200,
-            stale.body,
-            headers={
-                "ETag": stale.etag,
-                "X-Cache": "stale",
-                "Warning": '110 - "Response is Stale"',
-            },
-        )
-
     def _finish(
-        self,
         state: RegistryState,
-        key: Tuple,
+        key: Tuple[str, str, str],
         etag: str,
         headers: Mapping[str, str],
         build,
-        stale_key: Optional[Tuple[str, str]] = None,
+        store: bool = True,
     ) -> Response:
-        """The shared validator → LRU → build tail of every GET.
+        """The validator → cache → build tail of every workspace GET.
 
-        ``build()`` runs only when both the client validator and the
-        registry's response LRU miss; its body is cached under ``key``
-        for the next request with the same semantic identity.  Every
-        200 body is also stored under ``stale_key`` — the per-endpoint
-        last known-good answer replayed by :meth:`_serve_stale` when
-        the index goes down.
+        ``build()`` runs only when the client validator misses and the
+        key's entry is absent or was rendered from another version
+        (another ETag).  Its body then replaces the entry, unless
+        ``store`` is false: a pinned read renders an old version
+        without evicting the live one.
         """
         if if_none_match_matches(headers.get("if-none-match"), etag):
             return Response(304, b"", headers={"ETag": etag})
-        cached = state.cache.get(key)
+        cached = state.cache.get(key, etag)
+        hit = cached is not None
         if cached is None:
             cached = CachedResponse(body=build(), etag=etag)
-            state.cache.put(key, cached)
-            x_cache = "miss"
-        else:
-            x_cache = "hit"
-        _cache_lookups(x_cache == "hit").inc(registry=state.name)
-        if stale_key is not None:
-            state.stale.put(stale_key, cached)
+            if store:
+                state.cache.put(key, cached)
+        _cache_lookups(hit).inc(registry=state.name)
         return Response(
-            200, cached.body, headers={"ETag": etag, "X-Cache": x_cache}
+            200,
+            cached.body,
+            headers={"ETag": etag, "X-Cache": "hit" if hit else "miss"},
         )
-
-    # -- ranking / montecarlo: the index read-through -------------------
-
-    def _serve_results(
-        self,
-        state: RegistryState,
-        ws_id: str,
-        path: Path,
-        options: BatchOptions,
-        headers: Mapping[str, str],
-    ) -> Response:
-        record = self._probe(state, ws_id, path, options)
-        config_hash = eval_config_hash(options)
-        verb = "montecarlo" if options.simulations else "ranking"
-        etag = make_etag(verb, record.content_hash, config_hash)
-        key = (verb, record.content_hash, config_hash)
-
-        def build() -> bytes:
-            rows = state.index.lookup_results(record.content_hash, config_hash)
-            if rows is None:
-                rows = self._evaluate_through(state, ws_id, path, options)
-            return _dumps(
-                self._results_payload(ws_id, record.content_hash, options, rows)
-            )
-
-        return self._finish(
-            state, key, etag, headers, build, stale_key=(verb, ws_id)
-        )
-
-    def _serve_pinned(
-        self,
-        state: RegistryState,
-        ws_id: str,
-        verb: str,
-        at: str,
-        options: BatchOptions,
-        headers: Mapping[str, str],
-    ) -> Response:
-        """A version-pinned read: recorded results for ``?at=<hash>``.
-
-        Pinned reads never evaluate — the index either has rows for
-        ``(at, config_hash)`` (because a batch run or a live read
-        recorded them before the workspace moved on) or the request is
-        a 404 ``version_not_found``.  The live current-content read
-        and the pinned read of the same hash share one cache entry.
-        """
-        if not _HEX_HASH.match(at):
-            raise ServiceError(
-                400, f"invalid content hash {at!r} for 'at'"
-            )
-        config_hash = eval_config_hash(options)
-        etag = make_etag(verb, at, config_hash)
-        key = (verb, at, config_hash)
-
-        def build() -> bytes:
-            rows = state.index.lookup_results(at, config_hash)
-            if rows is None:
-                raise ServiceError(
-                    404,
-                    f"no recorded results for content hash {at!r}",
-                    code="version_not_found",
-                    detail={"content_hash": at},
-                )
-            return _dumps(self._results_payload(ws_id, at, options, rows))
-
-        return self._finish(state, key, etag, headers, build)
 
     def _evaluate_through(
         self,
@@ -1552,122 +1388,72 @@ class ServiceApp:
             "results": results,
         }
 
-    # -- group: the members-axis read-through ---------------------------
+    def _group_payload(
+        self, ws_id: str, content_hash: str, rows
+    ) -> Dict[str, object]:
+        """One group body: the roster's result rows for the workspace.
 
-    def _serve_group(
-        self,
-        state: RegistryState,
-        ws_id: str,
-        path: Path,
-        headers: Mapping[str, str],
-    ) -> Response:
-        """The group-decision result under the configured roster.
-
-        Same read-through contract as ranking: the cache key (and the
-        ETag) is the workspace content hash × the evaluation
-        configuration hash, which for group runs folds in the member
-        roster digest — so editing the roster file and restarting the
-        server serves fresh results while every other cache row stays
-        valid.  On a miss the workspace evaluates through the stacked
-        members axis via :class:`~repro.core.runtime.ShardedRunner` and
-        the rows commit back through the index, byte-identical to what
-        ``repro group`` caches.
+        Same read-through contract as ranking: on a miss the workspace
+        evaluates through the stacked members axis via
+        :class:`~repro.core.runtime.ShardedRunner` and the rows commit
+        back through the index, byte-identical to what ``repro group``
+        caches.
         """
-        if self.members_spec is None:
+        group_json = rows[0].group_json
+        if group_json is None:  # pragma: no cover - defensive
             raise ServiceError(
-                404,
-                "no member roster configured; start the service with "
-                "a members file (repro serve --members FILE)",
+                409,
+                f"workspace {ws_id!r} has no group result",
+                code="workspace_invalid",
             )
-        options = BatchOptions(group=self.members_spec)
-        record = self._probe(state, ws_id, path, options)
-        config_hash = eval_config_hash(options)
-        etag = make_etag("group", record.content_hash, config_hash)
-        key = ("group", record.content_hash, config_hash)
+        return {
+            "workspace": ws_id,
+            "content_hash": content_hash,
+            "members_digest": self.members_digest,
+            "group": json.loads(group_json),
+        }
 
-        def build() -> bytes:
-            rows = state.index.lookup_results(record.content_hash, config_hash)
-            if rows is None:
-                rows = self._evaluate_through(state, ws_id, path, options)
-            group_json = rows[0].group_json
-            if group_json is None:  # pragma: no cover - defensive
-                raise ServiceError(
-                    409,
-                    f"workspace {ws_id!r} has no group result",
-                    code="workspace_invalid",
-                )
-            return _dumps(
+    @staticmethod
+    def _screening_payload(
+        verb: str, ws_id: str, path: Path, content_hash: str
+    ) -> Dict[str, object]:
+        """One dominance or rank-interval body, computed by the engine."""
+        try:
+            compiled = _workspace.load_compiled_fast(str(path))
+        except _LOAD_ERRORS as exc:
+            raise ServiceError(
+                409,
+                f"workspace {ws_id!r} cannot be compiled: "
+                f"{type(exc).__name__}: {exc}",
+                code="workspace_invalid",
+            ) from exc
+        evaluator = BatchEvaluator(compiled)
+        names = list(evaluator.alternative_names)
+        if verb == "dominance":
+            matrix = evaluator.dominance_matrix()
+            dominated = matrix.any(axis=0)
+            return {
+                "workspace": ws_id,
+                "content_hash": content_hash,
+                "alternatives": names,
+                "matrix": [[bool(x) for x in row] for row in matrix],
+                "non_dominated": [
+                    name for name, hit in zip(names, dominated) if not hit
+                ],
+            }
+        intervals = evaluator.rank_intervals()
+        return {
+            "workspace": ws_id,
+            "content_hash": content_hash,
+            "intervals": [
                 {
-                    "workspace": ws_id,
-                    "content_hash": record.content_hash,
-                    "members_digest": self.members_digest,
-                    "group": json.loads(group_json),
+                    "name": name,
+                    "best": intervals[name].best,
+                    "worst": intervals[name].worst,
                 }
-            )
-
-        return self._finish(
-            state, key, etag, headers, build, stale_key=("group", ws_id)
-        )
-
-    # -- dominance / rank intervals: engine-backed, LRU-cached ----------
-
-    def _serve_screening(
-        self,
-        state: RegistryState,
-        verb: str,
-        ws_id: str,
-        path: Path,
-        headers: Mapping[str, str],
-    ) -> Response:
-        record = self._probe(state, ws_id, path)
-        etag = make_etag(verb, record.content_hash)
-        key = (verb, record.content_hash)
-
-        def build() -> bytes:
-            try:
-                compiled = _workspace.load_compiled_fast(str(path))
-            except _LOAD_ERRORS as exc:
-                raise ServiceError(
-                    409,
-                    f"workspace {ws_id!r} cannot be compiled: "
-                    f"{type(exc).__name__}: {exc}",
-                    code="workspace_invalid",
-                ) from exc
-            evaluator = BatchEvaluator(compiled)
-            names = list(evaluator.alternative_names)
-            if verb == "dominance":
-                matrix = evaluator.dominance_matrix()
-                dominated = matrix.any(axis=0)
-                payload = {
-                    "workspace": ws_id,
-                    "content_hash": record.content_hash,
-                    "alternatives": names,
-                    "matrix": [[bool(x) for x in row] for row in matrix],
-                    "non_dominated": [
-                        name
-                        for name, hit in zip(names, dominated)
-                        if not hit
-                    ],
-                }
-            else:
-                intervals = evaluator.rank_intervals()
-                payload = {
-                    "workspace": ws_id,
-                    "content_hash": record.content_hash,
-                    "intervals": [
-                        {
-                            "name": name,
-                            "best": intervals[name].best,
-                            "worst": intervals[name].worst,
-                        }
-                        for name in names
-                    ],
-                }
-            return _dumps(payload)
-
-        return self._finish(
-            state, key, etag, headers, build, stale_key=(verb, ws_id)
-        )
+                for name in names
+            ],
+        }
 
     # ------------------------------------------------------------------
     # Versions

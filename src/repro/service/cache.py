@@ -2,14 +2,16 @@
 
 The sqlite registry index already memoises *numbers* across runs; this
 module memoises *rendered responses* across requests.  A
-:class:`ResponseCache` is a thread-safe LRU keyed by the semantic
-identity of a response — for workspace endpoints that key contains the
-workspace ``content_hash`` and the evaluation ``config_hash``, so a
-``touch``/rename keeps an entry hot while any semantic edit silently
-misses to a fresh render (the stale entry ages out of the LRU).
+:class:`ResponseCache` is a thread-safe LRU keyed by what the client
+asked for — for workspace endpoints ``(verb, workspace id, config
+hash)`` — holding the last body rendered for that request with its
+ETag.  The ETag names the content the body was rendered from
+(:func:`make_etag` over the verb, the workspace ``content_hash`` and
+the ``config_hash``), so a read serves the entry only when the ETag it
+computes matches: a ``touch`` keeps the entry hot, a semantic edit
+renders a fresh body that replaces it, and an index outage can still
+replay the key's last body.
 
-The same identity doubles as the HTTP validator: :func:`make_etag`
-derives a strong ETag from the key parts, and
 :func:`if_none_match_matches` implements the ``If-None-Match`` →
 ``304 Not Modified`` comparison, so a client that caches one response
 revalidates with one stat + one sqlite point read and no body bytes.
@@ -40,13 +42,12 @@ class CachedResponse:
 
     body: bytes
     etag: str
-    content_type: str = "application/json"
 
 
 def make_etag(*parts: str) -> str:
     """A strong ETag derived from the response's semantic identity.
 
-    ``parts`` are the key components (endpoint name, content hash,
+    ``parts`` name the rendered content (endpoint name, content hash,
     config hash, ...); the ETag is a quoted sha256 prefix over their
     canonical join, so equal identities always revalidate and any
     changed part produces a different validator.
@@ -123,10 +124,10 @@ class ResponseCache:
     """A bounded, thread-safe LRU of hot :class:`CachedResponse` entries.
 
     ``capacity`` bounds the entry count; insertion past it evicts the
-    least-recently-used entry.  ``get``/``put`` are O(1) under one
-    lock.  The cache keeps no counters: the service counts lookups in
-    the process-wide ``repro_response_cache_{hits,misses}_total``
-    series.
+    least-recently-used entry; ``put`` on a present key replaces its
+    entry.  ``get``/``put`` are O(1) under one lock.  The cache keeps
+    no counters: the service counts lookups in the process-wide
+    ``repro_response_cache_{hits,misses}_total`` series.
     """
 
     def __init__(self, capacity: int = 1024) -> None:
@@ -137,12 +138,19 @@ class ResponseCache:
         self._entries: "OrderedDict[Hashable, CachedResponse]" = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, key: Hashable) -> Optional[CachedResponse]:
-        """The cached response under ``key``, refreshed to MRU; or None."""
+    def get(
+        self, key: Hashable, etag: Optional[str] = None
+    ) -> Optional[CachedResponse]:
+        """The cached response under ``key``, refreshed to MRU; or None.
+
+        With ``etag``, an entry rendered under another ETag (another
+        version of the content) is a miss.
+        """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
+            if entry is None or (etag is not None and entry.etag != etag):
+                return None
+            self._entries.move_to_end(key)
             return entry
 
     def put(self, key: Hashable, entry: CachedResponse) -> None:
@@ -157,26 +165,6 @@ class ResponseCache:
         """Drop every entry."""
         with self._lock:
             self._entries.clear()
-
-    def invalidate(self, part: Hashable) -> int:
-        """Drop every entry whose key tuple contains ``part``.
-
-        The incremental-invalidation hook: when a workspace edit is
-        detected, passing its *old* ``content_hash`` evicts exactly the
-        responses rendered from the superseded content (every verb,
-        every configuration) while the rest of the cache stays hot —
-        instead of waiting for stale entries to age out of the LRU.
-        Returns the number of entries dropped.
-        """
-        with self._lock:
-            doomed = [
-                key
-                for key in self._entries
-                if isinstance(key, tuple) and part in key
-            ]
-            for key in doomed:
-                del self._entries[key]
-        return len(doomed)
 
     def __len__(self) -> int:
         """Current entry count."""

@@ -3,9 +3,9 @@
 PR 10 grows the query service from one registry directory into a
 federated, OntoMaven-style artifact fabric: a :class:`Federation` maps
 registry *names* to :class:`RegistryState` bundles, each with its own
-:class:`~repro.core.index.RegistryIndex`, response LRU, stale cache,
-circuit breaker and write lock — so a failure storm or an edit burst
-in one registry never invalidates or degrades another (the isolation
+:class:`~repro.core.index.RegistryIndex`, response cache, circuit
+breaker and write lock — so a failure storm or an edit burst in one
+registry never evicts or degrades another's answers (the isolation
 ``tests/service/test_federation.py`` pins).
 
 Registries can be mounted at boot (``repro serve --mount NAME=DIR``)
@@ -53,10 +53,10 @@ class RegistryState:
     """Everything the service holds per mounted registry.
 
     One bundle per registry name: the resolved root directory, its
-    index, the response LRU, the never-invalidated stale cache, the
-    evaluation circuit breaker and the single-writer lock.  The
-    breaker is injected by the app (it owns the breaker class) via the
-    federation's ``breaker_factory``.
+    index, the response cache (which also answers stale reads during
+    an index outage), the evaluation circuit breaker and the
+    single-writer lock.  The breaker is injected by the app (it owns
+    the breaker class) via the federation's ``breaker_factory``.
     """
 
     name: str
@@ -64,7 +64,6 @@ class RegistryState:
     index_path: Path
     index: RegistryIndex
     cache: ResponseCache
-    stale: ResponseCache
     breaker: object
     write_lock: threading.Lock = field(default_factory=threading.Lock)
 
@@ -127,7 +126,6 @@ class Federation:
                 index_path=db_path,
                 index=RegistryIndex(db_path),
                 cache=ResponseCache(self._cache_size),
-                stale=ResponseCache(self._cache_size),
                 breaker=self._breaker_factory(),
             )
             self._states[name] = state
@@ -297,7 +295,7 @@ def pull_registry(
             )
             probed, _ = dst_index.probe(target)
             if probed is not None:
-                dst_index.record_probes([probed])
+                dst_index.record_run([probed])
     return PullReport(
         n_workspaces=len(files),
         copied=copied,

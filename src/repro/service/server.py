@@ -166,7 +166,6 @@ class ServiceServer:
         members_path: Optional[Union[str, Path]] = None,
         mounts: Optional[Mapping[str, Union[str, Path]]] = None,
         auth_token: Optional[str] = None,
-        warm_writes: bool = False,
     ) -> None:
         """Build the app and bind the server (not yet serving)."""
         self.app = ServiceApp(
@@ -176,7 +175,6 @@ class ServiceServer:
             members_path=members_path,
             mounts=mounts,
             auth_token=auth_token,
-            warm_writes=warm_writes,
         )
         try:
             self.httpd = RegistryHTTPServer(

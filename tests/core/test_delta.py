@@ -238,6 +238,59 @@ class TestRunnerDeltaPath:
         assert report.n_cached == len(paths) - 1
         assert report.results == reference.results
 
+    @pytest.mark.parametrize("config", ["objectives", "roster"])
+    def test_graph_run_parses_an_edit_once(
+        self, tmp_path, monkeypatch, config
+    ):
+        """Objectives and rosters rule delta out; the edited workspace
+        is expanded from the probe's parse, not parsed a second time."""
+        from .test_runtime_group import make_spec
+
+        paths = self._registry(tmp_path, n=3)
+        options = (
+            BatchOptions(objectives=True)
+            if config == "objectives"
+            else BatchOptions(group=make_spec())
+        )
+        runner = ShardedRunner(workers=1, options=options)
+        parses = []
+        real_load = workspace.load
+
+        def counted_load(*args, **kwargs):
+            parses.append(args[0])
+            return real_load(*args, **kwargs)
+
+        with RegistryIndex(tmp_path / "index.sqlite") as index:
+            runner.run(paths, index=index)
+            self._mutate_file(paths[1])
+            monkeypatch.setattr(workspace, "load", counted_load)
+            report = runner.run(paths, index=index)
+            monkeypatch.undo()
+            reference = runner.run(paths, index=index, refresh=True)
+        assert len(parses) == 1
+        assert report.n_cached == len(paths) - 1
+        assert report.n_delta == 0
+        assert report.results == reference.results
+
+    def test_graph_run_skips_an_edit_that_cannot_expand(self, tmp_path):
+        from repro.casestudy.problem import multimedia_problem
+
+        from .test_runtime_group import make_spec
+
+        paths = self._registry(tmp_path, n=3)
+        runner = ShardedRunner(
+            workers=1, options=BatchOptions(group=make_spec())
+        )
+        with RegistryIndex(tmp_path / "index.sqlite") as index:
+            runner.run(paths, index=index)
+            # parses, but its hierarchy does not carry the roster
+            workspace.save(multimedia_problem(), paths[1])
+            report = runner.run(paths, index=index)
+            reference = runner.run(paths, index=index, refresh=True)
+        assert [s.path for s in report.skipped] == [str(paths[1])]
+        assert report.skipped == reference.skipped
+        assert report.results == reference.results
+
     def test_refresh_and_no_index_never_take_delta_path(self, tmp_path):
         paths = self._registry(tmp_path, n=2)
         runner = ShardedRunner(workers=1, options=BatchOptions())

@@ -656,7 +656,7 @@ class TestMirror:
         text = path.read_text()
         path.write_text(text.replace("ws-00", "xs-00"))
         st = os.stat(path)
-        index.record_probes(
+        index.record_run(
             [
                 dc_replace(
                     record,

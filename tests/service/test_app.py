@@ -658,10 +658,12 @@ class TestRequestId:
 
 
 class TestCacheInvalidation:
+    """One cache entry per request; an edit replaces it, never adds one."""
+
     def test_edit_invalidates_only_that_workspace(self, app, registry):
-        """A detected edit evicts the edited workspace's rendered
-        responses (all verbs) while other entries stay hot."""
-        get(app, "/v1/workspaces/ws-00/ranking")
+        """A detected edit re-renders the edited workspace's reads and
+        replaces their entries, while other entries stay hot."""
+        old = get(app, "/v1/workspaces/ws-00/ranking")
         get(app, "/v1/workspaces/ws-00/dominance")
         get(app, "/v1/workspaces/ws-01/ranking")
         assert len(app.cache) == 3
@@ -669,36 +671,34 @@ class TestCacheInvalidation:
         edit(registry[0])
         first = get(app, "/v1/workspaces/ws-00/ranking")
         assert first.status == 200
-        # old ws-00 entries were evicted, ws-01's entry survived
-        assert body(get(app, "/metrics"))["cache"]["size"] == 2
-        hits_before = body(get(app, "/metrics"))["cache"]["hits"]
-        assert get(app, "/v1/workspaces/ws-01/ranking").status == 200
-        assert (
-            body(get(app, "/metrics"))["cache"]["hits"] == hits_before + 1
-        )
-
-    def test_listing_absorbs_an_edit_like_a_read(
-        self, app, registry, monkeypatch
-    ):
-        """GET /v1/registry evicts an edited workspace's responses and
-        notifies the warmer, exactly as a workspace read would."""
-        notified = []
-        monkeypatch.setattr(
-            app, "_notify_warm", lambda *args: notified.append(args)
-        )
-        get(app, "/v1/workspaces/ws-00/ranking")
-        get(app, "/v1/workspaces/ws-00/dominance")
-        get(app, "/v1/workspaces/ws-01/ranking")
+        assert first.headers["X-Cache"] == "miss"
+        assert first.headers["ETag"] != old.headers["ETag"]
+        etags = {entry.etag for entry in app.cache._entries.values()}
+        assert first.headers["ETag"] in etags
+        assert old.headers["ETag"] not in etags
         assert len(app.cache) == 3
-        edit(registry[0])
-        assert get(app, "/v1/registry").status == 200
-        assert len(app.cache) == 1
-        assert notified == [("default", "ws-00")]
         hit = get(app, "/v1/workspaces/ws-01/ranking")
         assert hit.headers["X-Cache"] == "hit"
-        assert get(app, "/v1/workspaces/ws-00/ranking").headers[
-            "X-Cache"
-        ] == "miss"
+
+    def test_listing_absorbs_an_edit_like_a_read(self, app, registry):
+        """GET /v1/registry records an edited workspace's new identity;
+        the next read renders that version and other reads stay hot."""
+        old = get(app, "/v1/workspaces/ws-00/ranking")
+        get(app, "/v1/workspaces/ws-00/dominance")
+        get(app, "/v1/workspaces/ws-01/ranking")
+        edit(registry[0])
+        listing = get(app, "/v1/registry")
+        assert listing.status == 200
+        listed = {w["id"]: w for w in body(listing)["workspaces"]}
+        new_hash = listed["ws-00"]["content_hash"]
+        assert new_hash != body(old)["content_hash"]
+        assert len(app.cache) == 3
+        hit = get(app, "/v1/workspaces/ws-01/ranking")
+        assert hit.headers["X-Cache"] == "hit"
+        fresh = get(app, "/v1/workspaces/ws-00/ranking")
+        assert fresh.headers["X-Cache"] == "miss"
+        assert body(fresh)["content_hash"] == new_hash
+        assert len(app.cache) == 3
 
     def test_touch_keeps_entries_hot(self, app, registry):
         get(app, "/v1/workspaces/ws-00/ranking")
@@ -708,17 +708,92 @@ class TestCacheInvalidation:
         assert response.status == 200
         assert len(app.cache) == size_before
 
-    def test_response_cache_invalidate_by_part(self):
+    def test_a_copy_answers_with_its_own_id(self, app, registry, tmp_path):
+        """Two files with equal content share ETags but not bodies: the
+        copy's reads name the copy, not the workspace read first."""
+        verbs = (
+            "ranking",
+            "montecarlo?simulations=20",
+            "dominance",
+            "rankintervals",
+        )
+        originals = [get(app, f"/v1/workspaces/ws-00/{v}") for v in verbs]
+        (tmp_path / "copy.json").write_bytes(registry[0].read_bytes())
+        for verb, original in zip(verbs, originals):
+            copy = get(app, f"/v1/workspaces/copy/{verb}")
+            assert copy.status == 200, verb
+            assert body(copy)["workspace"] == "copy", verb
+            assert copy.headers["ETag"] == original.headers["ETag"]
+            again = get(app, f"/v1/workspaces/ws-00/{verb}")
+            assert again.headers["X-Cache"] == "hit", verb
+            assert again.body == original.body
+
+    def test_concurrent_edits_keep_each_body_with_its_etag(
+        self, app, registry
+    ):
+        """Readers racing an editor always get a body rendered from the
+        version their ETag names, for the workspace they asked for."""
+        import os
+        import sys
+        import threading
+
+        ranking_config = eval_config_hash(BatchOptions())
+        errors = []
+
+        def reader(ws_id):
+            try:
+                for _ in range(10):
+                    for verb in ("ranking", "dominance"):
+                        response = get(app, f"/v1/workspaces/{ws_id}/{verb}")
+                        assert response.status == 200
+                        doc = body(response)
+                        assert doc["workspace"] == ws_id
+                        parts = [verb, doc["content_hash"]]
+                        if verb == "ranking":
+                            parts.append(ranking_config)
+                        assert response.headers["ETag"] == make_etag(*parts)
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        def editor():
+            try:
+                for k in range(6):
+                    staged = registry[0].with_suffix(f".tmp{k}")
+                    staged.write_bytes(registry[0].read_bytes())
+                    edit(staged)
+                    os.replace(staged, registry[0])
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=reader, args=(ws_id,))
+            for ws_id in ("ws-00", "ws-00", "ws-01")
+        ]
+        threads.append(threading.Thread(target=editor))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(app.cache) == 4
+
+    def test_response_cache_get_matches_the_etag(self):
         from repro.service.cache import CachedResponse, ResponseCache
 
         cache = ResponseCache(capacity=8)
-        cache.put(("ranking", "hash-a"), CachedResponse(b"a", '"a"'))
-        cache.put(("ranking", "hash-b"), CachedResponse(b"b", '"b"'))
-        cache.put(("mc", "hash-a", "cfg"), CachedResponse(b"c", '"c"'))
-        assert cache.invalidate("hash-a") == 2
-        assert cache.get(("ranking", "hash-b")) is not None
-        assert cache.get(("ranking", "hash-a")) is None
-        assert cache.get(("mc", "hash-a", "cfg")) is None
+        cache.put(("ranking", "ws", ""), CachedResponse(b"a", '"a"'))
+        assert cache.get(("ranking", "ws", ""), '"a"').body == b"a"
+        assert cache.get(("ranking", "ws", ""), '"b"') is None
+        assert cache.get(("ranking", "ws", "")).body == b"a"
+        cache.put(("ranking", "ws", ""), CachedResponse(b"b", '"b"'))
+        assert len(cache) == 1
+        assert cache.get(("ranking", "ws", ""), '"b"').body == b"b"
 
 
 def write_members(tmp_path, n_members=3):

@@ -3,9 +3,9 @@
 The service must keep *serving* through evaluation failure storms and
 registry-index outages: evaluations are refused fast (503 +
 ``Retry-After``) once the circuit opens, index-down reads replay the
-last known-good body with ``Warning: 110``, and ``/healthz`` reports
-``degraded`` while staying HTTP 200 so load balancers don't eject a
-still-useful instance.
+cache entry of the same request with ``Warning: 110``, and
+``/healthz`` reports ``degraded`` while staying HTTP 200 so load
+balancers don't eject a still-useful instance.
 """
 
 import json
@@ -236,6 +236,41 @@ class TestStaleServing:
         _kill_index(app, monkeypatch)
         stale = get(app, "/v1/workspaces/ws-01/ranking")
         assert stale.body == second.body
+
+    def test_stale_replay_is_per_request_configuration(
+        self, app, monkeypatch
+    ):
+        """Another Monte Carlo configuration was never answered, so the
+        outage has nothing to replay for it."""
+        primed = get(app, "/v1/workspaces/ws-01/montecarlo?simulations=100")
+        assert primed.status == 200
+        _kill_index(app, monkeypatch)
+        other = get(app, "/v1/workspaces/ws-01/montecarlo?simulations=200")
+        assert other.status == 503
+        assert other.headers["Retry-After"] == "5"
+        same = get(app, "/v1/workspaces/ws-01/montecarlo?simulations=100")
+        assert same.status == 200
+        assert same.headers["X-Cache"] == "stale"
+        assert same.body == primed.body
+
+    def test_pinned_read_replays_only_the_version_it_names(
+        self, app, registry, monkeypatch
+    ):
+        old = get(app, "/v1/workspaces/ws-01/ranking")
+        old_hash = body(old)["content_hash"]
+        text = registry[1].read_text()
+        registry[1].write_text(text.replace("ws-01", "ws-01-edited"))
+        current = get(app, "/v1/workspaces/ws-01/ranking")
+        new_hash = body(current)["content_hash"]
+        assert new_hash != old_hash
+        _kill_index(app, monkeypatch)
+        pinned_old = get(app, f"/v1/workspaces/ws-01/ranking?at={old_hash}")
+        assert pinned_old.status == 503
+        assert "index unavailable" in body(pinned_old)["error"]["message"]
+        pinned_new = get(app, f"/v1/workspaces/ws-01/ranking?at={new_hash}")
+        assert pinned_new.status == 200
+        assert pinned_new.body == current.body
+        assert pinned_new.headers["ETag"] == current.headers["ETag"]
 
 
 class TestDegradedHealthz:

@@ -140,7 +140,7 @@ class TestCacheIsolation:
             .headers["X-Cache"] == "miss"
         assert get(app, "/v1/registries/beta/workspaces/b-0/ranking")\
             .headers["X-Cache"] == "miss"
-        # edit registry beta's workspace: its entries must invalidate...
+        # edit registry beta's workspace: its read must re-render...
         workspace.save(
             make_small_problem(missing_cell=True, name="b-0"),
             beta / "b-0.json",
@@ -323,30 +323,3 @@ class TestRegistryPull:
         write_registry(tmp_path / "r", ["p-0"])
         with pytest.raises(ValueError, match="same"):
             pull_registry(tmp_path / "r", tmp_path / "r")
-
-
-class TestCacheWarming:
-    def test_edit_triggers_background_warm(self, tmp_path):
-        root = tmp_path / "warm"
-        write_registry(root, ["w-0"])
-        with ServiceApp(root, warm_writes=True) as app:
-            assert get(app, "/v1/workspaces/w-0/ranking").status == 200
-            workspace.save(
-                make_small_problem(missing_cell=True, name="w-0"),
-                root / "w-0.json",
-            )
-            # the listing probe detects the edit and queues the warm
-            assert get(app, "/v1/registry").status == 200
-            assert app._warmer.drain(timeout=30.0)
-            response = get(app, "/v1/workspaces/w-0/ranking")
-            assert response.status == 200
-            assert response.headers["X-Cache"] == "hit"
-
-    def test_warm_failures_are_swallowed(self, tmp_path):
-        root = tmp_path / "warm"
-        write_registry(root, ["w-0"])
-        with ServiceApp(root, warm_writes=True) as app:
-            app._warmer.notify("default", "missing-workspace")
-            app._warmer.notify("ghost-registry", "w-0")
-            assert app._warmer.drain(timeout=10.0)
-            assert get(app, "/v1/workspaces/w-0/ranking").status == 200

@@ -19,7 +19,7 @@ from repro.core.index import RECORDING_WINDOW_NS, RegistryIndex
 from repro.core.runtime import SkippedWorkspace
 from repro.service.app import ServiceApp
 
-from .test_app import get, write_registry
+from .test_app import get, write_members, write_registry
 
 VERBS = (
     "ranking",
@@ -34,12 +34,12 @@ def calls(monkeypatch):
     """Counts of the parses, delta patches, writes and byte checks."""
     seen = {}
 
-    def count(owner, name, key, keep=lambda result: True):
+    def count(owner, name, key, keep=lambda result, *args, **kwargs: True):
         real = getattr(owner, name)
 
         def counted(*args, **kwargs):
             result = real(*args, **kwargs)
-            if keep(result):
+            if keep(result, *args, **kwargs):
                 seen[key] = seen.get(key, 0) + 1
             return result
 
@@ -50,11 +50,18 @@ def calls(monkeypatch):
         workspace,
         "load_compiled_delta",
         "delta",
-        lambda result: result is not None,
+        lambda result, *args, **kwargs: result is not None,
     )
     count(workspace, "_file_sha256", "byte_check")
     count(RegistryIndex, "record_run", "record_run")
-    count(RegistryIndex, "record_probes", "record_probes")
+    count(
+        RegistryIndex,
+        "record_run",
+        "fingerprints_only",
+        lambda result, index, records, results=None, config_hash="": (
+            not results
+        ),
+    )
     return seen
 
 
@@ -75,8 +82,13 @@ def _weight_edit(path):
     path.write_text(json.dumps(data, indent=2, sort_keys=True))
 
 
-def _keys_with(app, part):
-    return [key for key in app.cache._entries if part in key]
+def _cached_bodies(app, ws_id):
+    """``(etag, body)`` of every cache entry rendered for ``ws_id``."""
+    entries = [
+        (entry.etag, json.loads(entry.body))
+        for entry in app.cache._entries.values()
+    ]
+    return [(etag, doc) for etag, doc in entries if doc["workspace"] == ws_id]
 
 
 class TestEditToFresh:
@@ -88,7 +100,11 @@ class TestEditToFresh:
             primed = [get(app, f"/v1/workspaces/ws-01/{v}") for v in VERBS]
             assert [r.status for r in primed] == [200] * 4
             old_hash = json.loads(primed[0].body)["content_hash"]
-            assert len(_keys_with(app, old_hash)) == 4
+            cached = _cached_bodies(app, "ws-01")
+            assert {doc["content_hash"] for _, doc in cached} == {old_hash}
+            assert {etag for etag, _ in cached} == {
+                r.headers["ETag"] for r in primed
+            }
 
             _weight_edit(registry[1])
             calls.clear()
@@ -102,8 +118,51 @@ class TestEditToFresh:
             } == {new_hash}
             assert counted.get("parse") == 1
             assert counted.get("delta") == 1
-            assert counted.get("record_probes", 0) == 0
-            assert _keys_with(app, old_hash) == []
+            assert counted.get("fingerprints_only", 0) == 0
+            cached = _cached_bodies(app, "ws-01")
+            assert {doc["content_hash"] for _, doc in cached} == {new_hash}
+            assert sorted(etag for etag, _ in cached) == sorted(
+                r.headers["ETag"] for r in fresh
+            )
+
+    def test_churn_keeps_one_entry_per_read(self, tmp_path):
+        """Every edit replaces the workspace's four entries in place."""
+        registry = write_registry(tmp_path)
+        with ServiceApp(tmp_path) as app:
+            for k in range(20):
+                data = json.loads(registry[1].read_text())
+                data["weights"]["cost"] = [0.3 + 0.005 * (k + 1), 0.5]
+                registry[1].write_text(json.dumps(data))
+                fresh = [
+                    get(app, f"/v1/workspaces/ws-01/{v}") for v in VERBS
+                ]
+                assert [r.status for r in fresh] == [200] * 4
+                cached = _cached_bodies(app, "ws-01")
+                assert len(cached) == 4
+                assert sorted(etag for etag, _ in cached) == sorted(
+                    r.headers["ETag"] for r in fresh
+                )
+            assert len(app.cache) == 4
+
+    def test_group_read_of_an_edit_parses_once(self, tmp_path, calls):
+        """The roster rules delta out; the runner evaluates the probe's
+        own parse instead of parsing the file again."""
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        registry = write_registry(tmp_path / "a")
+        members = write_members(tmp_path)
+        with ServiceApp(tmp_path / "a", members_path=members) as app:
+            assert get(app, "/v1/workspaces/ws-01/group").status == 200
+            _weight_edit(registry[1])
+            calls.clear()
+            warm = get(app, "/v1/workspaces/ws-01/group")
+            assert warm.status == 200
+            assert calls.get("parse") == 1
+        cold_registry = write_registry(tmp_path / "b")
+        _weight_edit(cold_registry[1])
+        with ServiceApp(tmp_path / "b", members_path=members) as app:
+            cold = get(app, "/v1/workspaces/ws-01/group")
+        assert warm.body == cold.body
 
     def test_bodies_match_a_cold_service(self, tmp_path):
         (tmp_path / "a").mkdir()
@@ -158,11 +217,11 @@ class TestRestamp:
             monkeypatch.setattr(index_module, "time", _Later)
             calls.clear()
             second = json.loads(get(app, "/v1/registry").body)
-            assert calls.get("record_probes") == 1
+            assert calls.get("fingerprints_only") == 1
             calls.clear()
             third = json.loads(get(app, "/v1/registry").body)
             assert calls.get("byte_check", 0) == 0
-            assert calls.get("record_probes", 0) == 0
+            assert calls.get("fingerprints_only", 0) == 0
         assert first["workspaces"] == second["workspaces"]
         assert second["workspaces"] == third["workspaces"]
         assert len(first["workspaces"]) == len(registry)
