@@ -516,64 +516,6 @@ class StackedProblem:
         """Stack size ``P`` — same as :attr:`n_problems`."""
         return len(self.members)
 
-    def patch_member(self, pos: int, compiled: CompiledProblem) -> None:
-        """Replace member ``pos``'s slices of every stacked tensor in place.
-
-        The delta-compilation path: when one workspace of a stacked
-        registry changes, its freshly (delta-)compiled form is written
-        into the existing ``(P, ...)`` tensors instead of re-stacking
-        all ``P`` members.  Key tensors re-pad if the new member needs
-        more utility-class slots than the current stack-wide maximum;
-        padding never influences results (``key_count`` masks it), so a
-        patched stack evaluates bit-identically to a freshly stacked
-        one.
-        """
-        if not 0 <= pos < len(self.members):
-            raise IndexError(f"no stack member at position {pos}")
-        if compiled.shape != self.shape:
-            raise ValueError(
-                f"cannot patch shape {compiled.shape} into a "
-                f"{self.shape} stack"
-            )
-        if len(self.members) == 1:  # views of the old member: never write
-            self.__init__([compiled], self.source_indices)
-            return
-        members = list(self.members)
-        members[pos] = compiled
-        self.members = tuple(members)
-        self.names = tuple(m.name for m in self.members)
-        for field in ("u_low", "u_avg", "u_up", "missing", "w_low",
-                      "w_avg", "w_up"):
-            getattr(self, field)[pos] = getattr(compiled, field)
-        k = compiled.key_low.shape[1]
-        max_keys = self.key_low.shape[2]
-        if k > max_keys:
-            p, (_, n_att) = len(self.members), self.shape
-            for field in ("key_low", "key_up"):
-                grown = np.zeros((p, n_att, k))
-                grown[:, :, :max_keys] = getattr(self, field)
-                setattr(self, field, grown)
-        self.key_low[pos] = 0.0
-        self.key_up[pos] = 0.0
-        self.key_low[pos, :, :k] = compiled.key_low
-        self.key_up[pos, :, :k] = compiled.key_up
-        self.key_count[pos] = compiled.key_count
-        self.alt_key[pos] = compiled.alt_key
-
-    def subset(self, positions: Sequence[int]) -> "StackedProblem":
-        """A new stack of just ``positions``, keeping source indices.
-
-        The sliced re-evaluation primitive: every member's numbers
-        depend only on its own arrays and its own seeded stream (the
-        PR 2 determinism contract), so evaluating a subset stack is
-        bit-identical to evaluating those members inside the full
-        stack.
-        """
-        return StackedProblem(
-            [self.members[p] for p in positions],
-            [self.source_indices[p] for p in positions],
-        )
-
 
 def stack_problems(
     compiled: Sequence[CompiledProblem],

@@ -40,9 +40,15 @@ index.  Before the fan-out it classifies every entry: stored and
 artifact-backed identities are probed there, but a new workspace with
 no fresh artifact goes straight to the pool, whose single ingest pass
 (parse, hash, lower, artifact write) ships the identity home with the
-chunk's results.  After the fan-in the main process completes those
-fingerprints, serves known content from cache, and persists everything
-in one single-writer transaction.
+chunk's results.  An edited workspace the probe had to ingest is
+evaluated in process from that ingest, in every configuration:
+delta-patched against its stale artifact when its structure held,
+lowered in full (writing its artifact) otherwise.  So the chunks
+receive only entries the main process did not parse — deferred new
+files, rows with a fresh artifact, and fresh rows whose results miss —
+and no file is parsed twice in one run.  After the fan-in the main
+process completes the deferred fingerprints, serves known content from
+cache, and persists everything in one single-writer transaction.
 """
 
 from __future__ import annotations
@@ -867,10 +873,10 @@ class ShardedRunner:
         active = indexed
         pending = indexed
         to_evaluate = indexed
-        delta_loaded: List[tuple] = []
-        # entries expanded from the probe's own parse, evaluated with
-        # the delta entries, and the ones whose expansion failed
-        parsed_loaded: List[tuple] = []
+        # entries evaluated in process from the probe's own ingest (a
+        # delta patch or a lowering), and the ones that failed to lower
+        loaded: List[tuple] = []
+        n_delta = 0
         parse_skipped: List[SkippedWorkspace] = []
         records: Dict[str, object] = {}
         # registry index -> the stat taken when its probe was deferred
@@ -889,11 +895,11 @@ class ShardedRunner:
             # so it needs the artifact machinery and a configuration the
             # fast path can serve: no object-graph expansions
             # (objectives/group) and no forced re-evaluation.
-            needs_graph = (
-                self.options.objectives or self.options.group is not None
-            )
             delta_ok = (
-                not refresh and self.options.use_disk_cache and not needs_graph
+                not refresh
+                and self.options.use_disk_cache
+                and not self.options.objectives
+                and self.options.group is None
             )
             pending = []
             to_evaluate = []
@@ -921,43 +927,45 @@ class ShardedRunner:
                         )
                     if rows is None:
                         pending.append((i, path))
-                        old = evidence.stored if evidence else None
+                        if ingested is None:
+                            to_evaluate.append((i, path))
+                            continue
+                        # The probe parsed this edit: evaluate that parse
+                        # here, never in a chunk that would read, parse
+                        # and hash the file a second time.
+                        old = evidence.stored
                         if (
                             delta_ok
-                            and ingested is not None
-                            and old is not None
                             and old.component_json
                             and evidence.stale_arrays is not None
                         ):
-                            # Patch from the bundle the probe ingested
-                            # and the stale artifact it checksummed: no
-                            # second read, parse, hash or artifact load.
                             delta = _workspace.load_compiled_delta(
                                 path,
                                 old.content_hash,
                                 old.component_json,
-                                ingested=ingested,
-                                arrays=evidence.stale_arrays,
+                                ingested,
+                                evidence.stale_arrays,
                             )
                             if delta is not None:
-                                delta_loaded.append(
-                                    (i, 0, path, delta.compiled, None)
-                                )
+                                n_delta += 1
+                                loaded.append((i, 0, path, delta.compiled, None))
                                 continue
-                        if needs_graph and ingested is not None:
-                            # Expansions need the object graph the
-                            # probe just parsed: a chunk would parse
-                            # the file a second time.
-                            try:
-                                parsed_loaded.extend(
-                                    _expand(
-                                        i, path, ingested.problem, self.options
-                                    )
+                        try:
+                            with _stage("workspace.lower", path=path):
+                                expansion = _expand(
+                                    i, path, ingested.problem, self.options
                                 )
-                            except _LOAD_ERRORS as exc:
-                                parse_skipped.append(_skipped(i, path, exc))
+                        except _LOAD_ERRORS as exc:
+                            parse_skipped.append(_skipped(i, path, exc))
                             continue
-                        to_evaluate.append((i, path))
+                        if self.options.use_disk_cache:
+                            # the artifact a chunk's compile would write
+                            _workspace._persist_artifact(
+                                expansion[0][3],
+                                _workspace.compiled_array_path(path),
+                                ingested,
+                            )
+                        loaded.extend(expansion)
                         continue
                     n_cached += 1
                     if status == "fresh" and not index.needs_restamp(
@@ -984,16 +992,13 @@ class ShardedRunner:
         identities: Dict[int, object] = {}
         identify = frozenset(deferred)
         n_stacks = 0
-        if delta_loaded or parsed_loaded:
-            # The sliced re-evaluation: only the delta-compiled members
-            # and those expanded from the probe's parse run, in-process,
-            # through the same evaluation loop the chunk workers use.
-            # Monte Carlo runs are full per-problem re-evaluations here
-            # — each problem's seeded stream is its own, so this is
-            # still bit-identical to a cold run.
-            results, n_stacks = _evaluate_loaded(
-                delta_loaded + parsed_loaded, self.options
-            )
+        if loaded:
+            # Only the entries the probe ingested run here, through the
+            # same evaluation loop the chunk workers use.  Monte Carlo
+            # runs are full per-problem re-evaluations — each problem's
+            # seeded stream is its own, so this is still bit-identical
+            # to a cold run.
+            results, n_stacks = _evaluate_loaded(loaded, self.options)
         n_retried = 0
         newly_quarantined: List[SkippedWorkspace] = []
         if self.workers == 1 or len(chunks) <= 1:
@@ -1059,9 +1064,7 @@ class ShardedRunner:
                     index, config_hash, records, pending, results
                 )
 
-        self._count_run(
-            n_cached, len(delta_loaded), n_retried, len(newly_quarantined)
-        )
+        self._count_run(n_cached, n_delta, n_retried, len(newly_quarantined))
         skipped.extend(parse_skipped)
         skipped.extend(newly_quarantined)
         skipped.extend(quarantine_skipped)
@@ -1076,7 +1079,7 @@ class ShardedRunner:
             n_chunks=len(chunks),
             workers=self.workers,
             n_cached=n_cached,
-            n_delta=len(delta_loaded),
+            n_delta=n_delta,
             n_retried=n_retried,
             n_quarantined=len(newly_quarantined) + len(quarantine_skipped),
         )

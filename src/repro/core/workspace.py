@@ -852,52 +852,41 @@ def load_compiled_fast(path: Union[str, Path]) -> CompiledProblem:
 class DeltaLoad:
     """One successful delta (re)compilation of an edited workspace.
 
-    Everything the incremental runtime needs in one bundle: the patched
-    compiled form (with the freshly parsed problem attached), the new
-    semantic fingerprints to index, and which components actually
-    changed — ``changed_rows`` are positions into the alternative list,
-    ``changed_components`` the raw :func:`component_hashes` keys.
+    ``compiled`` is the patched compiled form, with the ingested
+    problem attached; ``changed_rows`` are the positions, in the
+    alternative list, of the rows the edit changed.
     """
 
     compiled: CompiledProblem
-    problem: DecisionProblem
-    content_hash: str
-    component_json: str
-    source_sha: str
-    npz_path: Path
     changed_rows: Tuple[int, ...]
-    changed_components: Tuple[str, ...]
 
 
 def load_compiled_delta(
     path: Union[str, Path],
     old_content_hash: str,
     old_component_json: Optional[str],
-    ingested: Optional[Ingested] = None,
-    arrays: Optional[Mapping[str, Any]] = None,
+    ingested: Ingested,
+    arrays: Mapping[str, Any],
 ) -> Optional[DeltaLoad]:
-    """Delta-compile an edited workspace against its cached artifact.
+    """Delta-compile an edited workspace against its stale artifact.
 
     The incremental fast path for a workspace whose content hash
-    changed: load the (now stale) ``.npz`` artifact, verify it still
-    matches the *old* indexed state, diff the per-component hashes and
-    patch only the changed rows via
-    :func:`~repro.core.engine.delta_compile`.  The rewritten artifact
-    is published atomically so subsequent runs take the plain fast
-    path; a failed write leaves the patched form valid.
+    changed: verify that the stale artifact payload ``arrays`` still
+    matches the *old* indexed state, diff the old per-component hashes
+    against those of ``ingested`` (the edited file's :func:`ingest`
+    bundle) and patch only the changed rows via
+    :func:`~repro.core.engine.delta_compile`.  Nothing is read or
+    parsed here: the batch runner hands over the bundle its probe
+    ingested and the artifact payload the index's freshness ladder
+    loaded and checksummed.  The rewritten artifact is published
+    atomically so subsequent runs take the plain fast path; a failed
+    write leaves the patched form valid.
 
     Returns ``None`` whenever delta compilation is not safe or not
-    possible — missing/stale artifact, missing or unparsable component
-    fingerprints, or a structural edit (hierarchy, scales, utilities,
-    alternative set/order) — in which case the caller falls back to a
-    full recompile exactly as before this path existed.
-
-    ``ingested`` is the edited file's :func:`ingest` bundle when the
-    caller already holds it (the batch runner ingests a changed file
-    once to look its new content up); otherwise the file is ingested
-    here.  Likewise ``arrays`` is the stale artifact payload the
-    caller already loaded and checksummed (the index's freshness
-    ladder does); otherwise the artifact is loaded here.
+    possible — an artifact of other content, missing or unparsable
+    component fingerprints, or a structural edit (hierarchy, scales,
+    utilities, alternative set/order) — in which case the caller lowers
+    the ingested problem in full.
     """
     path = Path(path)
     try:
@@ -909,16 +898,8 @@ def load_compiled_delta(
         or "structure" not in old_components
     ):
         return None
-    npz_path = compiled_array_path(path)
-    if arrays is None:
-        arrays = load_compiled_arrays(npz_path)
-    if arrays is None or str(arrays.get("content_hash")) != old_content_hash:
+    if str(arrays.get("content_hash")) != old_content_hash:
         return None
-    if ingested is None:
-        try:
-            ingested = ingest(path)
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
     new_components = ingested.components
     if new_components["structure"] != old_components.get("structure"):
         return None
@@ -943,14 +924,5 @@ def load_compiled_delta(
             )
     except (ValueError, KeyError):  # pragma: no cover - structure gate
         return None
-    _persist_artifact(compiled, npz_path, ingested)
-    return DeltaLoad(
-        compiled=compiled,
-        problem=problem,
-        content_hash=ingested.content_hash,
-        component_json=ingested.component_json,
-        source_sha=ingested.source_sha,
-        npz_path=npz_path,
-        changed_rows=changed_rows,
-        changed_components=changed,
-    )
+    _persist_artifact(compiled, compiled_array_path(path), ingested)
+    return DeltaLoad(compiled=compiled, changed_rows=changed_rows)

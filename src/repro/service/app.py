@@ -1013,7 +1013,9 @@ class ServiceApp:
             Path, expand_registry_source(state.root, state.index_path)
         ):
             ws_id = path.relative_to(state.root).with_suffix("").as_posix()
-            record, status = index.probe(path)
+            # a row it re-derives gets its artifact, so the next read
+            # of that workspace mmaps instead of parsing it again
+            record, status = index.probe(path, warm_artifact=True)
             if record is None:
                 workspaces.append({"id": ws_id, "error": "unreadable"})
                 continue

@@ -2,12 +2,12 @@
 
 Covers the schema-v3 incremental stack end to end: component
 fingerprints (:func:`repro.core.workspace.component_hashes`), in-place
-array patching (:func:`repro.core.engine.delta_compile`,
-:meth:`repro.core.engine.StackedProblem.patch_member`), the artifact
+array patching (:func:`repro.core.engine.delta_compile`), the artifact
 diff loader (:func:`repro.core.workspace.load_compiled_delta`), the
-runner's delta path and ``watch`` follow mode — plus a hypothesis
-property test that random single-component mutations produce delta
-re-evaluations bit-identical to a full recompute.
+runner's rule that an edit its probe ingested is evaluated from that
+one parse, and ``watch`` follow mode — plus a hypothesis property test
+that random single-component mutations produce delta re-evaluations
+bit-identical to a full recompute.
 """
 
 import json
@@ -19,12 +19,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core import workspace
-from repro.core.engine import (
-    StackedProblem,
-    compile_problem,
-    delta_compile,
-)
+from repro.core import runtime, workspace
+from repro.core.engine import compile_problem, delta_compile
 from repro.core.index import RegistryIndex
 from repro.core.runtime import BatchOptions, ShardedRunner
 
@@ -98,53 +94,6 @@ class TestDeltaCompile:
             assert np.array_equal(getattr(old, field), before[field]), field
 
 
-class TestStackedPatch:
-    def test_patch_member_matches_restack(self):
-        problems_ = [
-            make_small_problem(name=f"ws-{i}", missing_cell=i % 2 == 0)
-            for i in range(4)
-        ]
-        compiled = [compile_problem(p) for p in problems_]
-        stack = StackedProblem(compiled, range(4))
-        replacement = compile_problem(change_cell(problems_[2]))
-        stack.patch_member(2, replacement)
-        rebuilt = StackedProblem(
-            compiled[:2] + [replacement] + compiled[3:], range(4)
-        )
-        for field in _ARRAY_FIELDS:
-            assert np.array_equal(
-                getattr(stack, field), getattr(rebuilt, field)
-            ), field
-
-    def test_one_member_stack_shares_arrays_and_patches_safely(self):
-        problem = make_small_problem(missing_cell=True)
-        original = compile_problem(problem)
-        before = compile_problem(problem)
-        stack = StackedProblem([original])
-        assert np.shares_memory(stack.u_avg, original.u_avg)
-        replacement = compile_problem(change_cell(problem))
-        stack.patch_member(0, replacement)
-        rebuilt = StackedProblem([replacement])
-        for field in _ARRAY_FIELDS:
-            assert np.array_equal(
-                getattr(stack, field), getattr(rebuilt, field)
-            ), field
-            # The patch rebinds the views; the old member is untouched.
-            assert np.array_equal(
-                getattr(original, field), getattr(before, field)
-            ), field
-
-    def test_subset_preserves_source_indices(self):
-        compiled = [
-            compile_problem(make_small_problem(name=f"ws-{i}"))
-            for i in range(3)
-        ]
-        stack = StackedProblem(compiled, [10, 20, 30])
-        sub = stack.subset([2, 0])
-        assert sub.source_indices == (30, 10)
-        assert sub.names == (compiled[2].name, compiled[0].name)
-
-
 class TestLoadCompiledDelta:
     def _persisted(self, tmp_path, problem):
         path = tmp_path / "ws.json"
@@ -159,13 +108,24 @@ class TestLoadCompiledDelta:
         )
         return path, workspace.content_hash(problem)
 
+    @staticmethod
+    def _delta(path, old_hash, old_components):
+        """The delta of the edited file, handed its ingest and the
+        stale artifact payload, as the runner's probe hands them."""
+        stale = workspace.load_compiled_arrays(
+            workspace.compiled_array_path(path)
+        )
+        return workspace.load_compiled_delta(
+            path, old_hash, old_components, workspace.ingest(path), stale
+        )
+
     def test_detects_changed_rows(self, tmp_path):
         problem = make_small_problem(name="ws")
         path, old_hash = self._persisted(tmp_path, problem)
         old_components = workspace.component_json(problem)
         mutated = change_cell(problem, alt_index=1)
         workspace.save(mutated, path)
-        delta = workspace.load_compiled_delta(path, old_hash, old_components)
+        delta = self._delta(path, old_hash, old_components)
         assert delta is not None
         assert delta.changed_rows == (1,)
         assert_compiled_equal(delta.compiled, compile_problem(mutated))
@@ -177,16 +137,13 @@ class TestLoadCompiledDelta:
         data = workspace.to_dict(problem)
         data["alternatives"] = data["alternatives"][:-1]
         workspace.save(workspace.from_dict(data), path)
-        assert (
-            workspace.load_compiled_delta(path, old_hash, old_components)
-            is None
-        )
+        assert self._delta(path, old_hash, old_components) is None
 
     def test_missing_component_json_returns_none(self, tmp_path):
         problem = make_small_problem(name="ws")
         path, old_hash = self._persisted(tmp_path, problem)
         workspace.save(change_cell(problem), path)
-        assert workspace.load_compiled_delta(path, old_hash, None) is None
+        assert self._delta(path, old_hash, None) is None
 
 
 class TestRunnerDeltaPath:
@@ -238,39 +195,91 @@ class TestRunnerDeltaPath:
         assert report.n_cached == len(paths) - 1
         assert report.results == reference.results
 
-    @pytest.mark.parametrize("config", ["objectives", "roster"])
-    def test_graph_run_parses_an_edit_once(
-        self, tmp_path, monkeypatch, config
+    def _rename_alternative(self, path):
+        """Rename one alternative: a structural edit no delta can patch."""
+        data = json.loads(path.read_text())
+        data["alternatives"][0]["name"] += "~renamed"
+        path.write_text(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "config, edit, edited, workers, refresh",
+        [
+            ("plain", "rename", (1,), 1, False),
+            ("plain", "rename", (1, 2), 2, False),
+            ("plain", "cell", (1,), 1, True),
+            ("no-disk-cache", "cell", (1,), 1, False),
+            ("objectives", "cell", (1,), 1, False),
+            ("roster", "cell", (1,), 1, False),
+        ],
+        ids=[
+            "rename",
+            "two-renames-2-workers",
+            "refresh",
+            "no-disk-cache",
+            "objectives",
+            "roster",
+        ],
+    )
+    def test_an_edit_is_parsed_once(
+        self, tmp_path, monkeypatch, config, edit, edited, workers, refresh
     ):
-        """Objectives and rosters rule delta out; the edited workspace
-        is expanded from the probe's parse, not parsed a second time."""
+        """An edit the probe ingested is evaluated from that parse, in
+        process, in every configuration: never parsed a second time,
+        never sent to a pool, its artifact written only with the disk
+        cache on, its rows those of a refresh and an index-less run."""
         from .test_runtime_group import make_spec
 
-        paths = self._registry(tmp_path, n=3)
-        options = (
-            BatchOptions(objectives=True)
-            if config == "objectives"
-            else BatchOptions(group=make_spec())
-        )
-        runner = ShardedRunner(workers=1, options=options)
-        parses = []
-        real_load = workspace.load
+        paths = self._registry(tmp_path, n=4)
+        options = {
+            "plain": BatchOptions(),
+            "no-disk-cache": BatchOptions(use_disk_cache=False),
+            "objectives": BatchOptions(objectives=True),
+            "roster": BatchOptions(group=make_spec()),
+        }[config]
+        runner = ShardedRunner(workers=workers, options=options)
+        seen = {"parse": 0, "artifact_write": 0, "pool": 0}
 
-        def counted_load(*args, **kwargs):
-            parses.append(args[0])
-            return real_load(*args, **kwargs)
+        def counted(name, real):
+            def call(*args, **kwargs):
+                seen[name] += 1
+                return real(*args, **kwargs)
+
+            return call
+
+        class CountedPool(runtime.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                seen["pool"] += 1
+                super().__init__(*args, **kwargs)
 
         with RegistryIndex(tmp_path / "index.sqlite") as index:
             runner.run(paths, index=index)
-            self._mutate_file(paths[1])
-            monkeypatch.setattr(workspace, "load", counted_load)
-            report = runner.run(paths, index=index)
+            for k in edited:
+                if edit == "rename":
+                    self._rename_alternative(paths[k])
+                else:
+                    self._mutate_file(paths[k])
+            monkeypatch.setattr(
+                workspace, "load", counted("parse", workspace.load)
+            )
+            monkeypatch.setattr(
+                workspace,
+                "save_compiled_arrays",
+                counted("artifact_write", workspace.save_compiled_arrays),
+            )
+            monkeypatch.setattr(runtime, "ProcessPoolExecutor", CountedPool)
+            report = runner.run(paths, index=index, refresh=refresh)
             monkeypatch.undo()
             reference = runner.run(paths, index=index, refresh=True)
-        assert len(parses) == 1
-        assert report.n_cached == len(paths) - 1
+        indexless = ShardedRunner(workers=1, options=options).run(paths)
+        assert seen == {
+            "parse": len(edited),
+            "artifact_write": len(edited) if options.use_disk_cache else 0,
+            "pool": 0,
+        }
+        assert report.n_cached == (0 if refresh else len(paths) - len(edited))
         assert report.n_delta == 0
-        assert report.results == reference.results
+        assert report.skipped == ()
+        assert report.results == reference.results == indexless.results
 
     def test_graph_run_skips_an_edit_that_cannot_expand(self, tmp_path):
         from repro.casestudy.problem import multimedia_problem

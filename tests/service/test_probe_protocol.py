@@ -82,6 +82,23 @@ def _weight_edit(path):
     path.write_text(json.dumps(data, indent=2, sort_keys=True))
 
 
+def _rename_alternative(path):
+    """Rename one alternative: a structural edit no delta can patch."""
+    data = json.loads(path.read_text())
+    data["alternatives"][0]["name"] += "~renamed"
+    path.write_text(json.dumps(data, indent=2, sort_keys=True))
+
+
+def _cold_bodies(tmp_path, edit):
+    """The four verb bodies of ``ws-01`` from a service that never saw
+    it before ``edit``."""
+    cold = tmp_path / "cold"
+    cold.mkdir()
+    edit(write_registry(cold)[1])
+    with ServiceApp(cold) as app:
+        return [get(app, f"/v1/workspaces/ws-01/{v}").body for v in VERBS]
+
+
 def _cached_bodies(app, ws_id):
     """``(etag, body)`` of every cache entry rendered for ``ws_id``."""
     entries = [
@@ -124,6 +141,45 @@ class TestEditToFresh:
             assert sorted(etag for etag, _ in cached) == sorted(
                 r.headers["ETag"] for r in fresh
             )
+
+    def test_structural_edit_reads_parse_once(self, tmp_path, calls):
+        """A structural edit cannot be delta-patched: the runner lowers
+        the probe's parse and writes the artifact the screening reads
+        then mmap, so the four reads parse the file once."""
+        (tmp_path / "warm").mkdir()
+        registry = write_registry(tmp_path / "warm")
+        with ServiceApp(tmp_path / "warm") as app:
+            for verb in VERBS:
+                assert get(app, f"/v1/workspaces/ws-01/{verb}").status == 200
+            _rename_alternative(registry[1])
+            calls.clear()
+            warm = [get(app, f"/v1/workspaces/ws-01/{v}") for v in VERBS]
+            counted = dict(calls)
+        assert [r.status for r in warm] == [200] * 4
+        assert counted.get("parse") == 1
+        assert counted.get("delta", 0) == 0
+        assert [r.body for r in warm] == _cold_bodies(
+            tmp_path, _rename_alternative
+        )
+
+    def test_listing_keeps_the_parse_it_makes(self, tmp_path, calls):
+        """A listing that re-derives an edited row writes its artifact,
+        so the reads that follow parse nothing more."""
+        (tmp_path / "warm").mkdir()
+        registry = write_registry(tmp_path / "warm")
+        with ServiceApp(tmp_path / "warm") as app:
+            for verb in VERBS:
+                assert get(app, f"/v1/workspaces/ws-01/{verb}").status == 200
+            _weight_edit(registry[1])
+            calls.clear()
+            assert get(app, "/v1/registry").status == 200
+            listing_parses = calls.get("parse", 0)
+            warm = [get(app, f"/v1/workspaces/ws-01/{v}") for v in VERBS]
+            counted = dict(calls)
+        assert listing_parses == len(registry)
+        assert counted.get("parse") == listing_parses
+        assert [r.status for r in warm] == [200] * 4
+        assert [r.body for r in warm] == _cold_bodies(tmp_path, _weight_edit)
 
     def test_churn_keeps_one_entry_per_read(self, tmp_path):
         """Every edit replaces the workspace's four entries in place."""
