@@ -1003,7 +1003,7 @@ class RegistryIndex:
 
     def derive(
         self, evidence: "ProbeEvidence", warm_artifact: bool = False
-    ) -> Tuple[Optional[IndexedWorkspace], Optional[_workspace.Ingested]]:
+    ) -> Tuple[IndexedWorkspace, Optional[_workspace.Ingested]]:
         """Fingerprint a new/changed workspace from the ladder's evidence.
 
         A fresh artifact (``evidence.arrays``) supplies the hashes and
@@ -1015,8 +1015,10 @@ class RegistryIndex:
         failed write only leaves the row without an artifact sha).
         Returns ``(record, ingested)``: ``ingested`` is the parsed
         bundle when one was needed (``None`` from an artifact), so the
-        caller can delta-compile without reading the file again;
-        ``record`` is ``None`` when the file is unreadable.
+        caller can delta-compile without reading the file again.
+        Content that does not ingest raises the ingest's error
+        (``OSError``, ``ValueError``, ``KeyError`` or ``TypeError``),
+        so a caller reports it without reading the file again.
         """
         if evidence.arrays is not None:
             identity = _workspace._artifact_identity(evidence.arrays)
@@ -1029,10 +1031,7 @@ class RegistryIndex:
                 ),
                 None,
             )
-        try:
-            ingested = _workspace.ingest(evidence.path, evidence.source)
-        except _LOAD_ERRORS:
-            return None, None
+        ingested = _workspace.ingest(evidence.path, evidence.source)
         npz_sha = None
         if warm_artifact and _workspace._persist_artifact(
             compile_problem(ingested.problem),
@@ -1186,8 +1185,9 @@ class RegistryIndex:
         """
         record, status, evidence = self.examine(path)
         if evidence is not None:
-            record, _ = self.derive(evidence, warm_artifact)
-            if record is None:
+            try:
+                record, _ = self.derive(evidence, warm_artifact)
+            except _LOAD_ERRORS:
                 return None, "error"
         return record, status
 

@@ -917,7 +917,13 @@ class ShardedRunner:
                             pending.append((i, path))
                             to_evaluate.append((i, path))
                             continue
-                        record, ingested = index.derive(evidence)
+                        try:
+                            record, ingested = index.derive(evidence)
+                        except _LOAD_ERRORS as exc:
+                            # reported from the probe's own failed
+                            # parse, never parsed again in a chunk
+                            parse_skipped.append(_skipped(i, path, exc))
+                            continue
                     if record is not None:
                         records[path] = record
                     rows = None

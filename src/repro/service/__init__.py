@@ -22,8 +22,9 @@ versioned, spec-first HTTP API:
 * :mod:`repro.service.cache` — the in-process content-hash-keyed LRU
   of hot responses sitting above the sqlite index, the ETag machinery
   (``If-None-Match`` → 304) and the deterministic gzip helpers;
-* :mod:`repro.service.server` — a threaded stdlib HTTP server with
-  graceful shutdown and an access log, plus the
+* :mod:`repro.service.server` — a threaded keep-alive HTTP/1.1
+  transport (one ``sendall`` per response) with graceful shutdown and
+  an access log, plus the
   :func:`~repro.service.server.ServiceServer` lifecycle wrapper the
   ``repro serve`` CLI command and the tests share.
 

@@ -146,6 +146,10 @@ _LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError)
 #: overhead would not pay for itself).
 _GZIP_MIN_BYTES = 512
 
+#: A ranking read's options and their configuration hash, encoded once.
+_RANKING_OPTIONS = BatchOptions()
+_RANKING_CONFIG = eval_config_hash(_RANKING_OPTIONS)
+
 #: Content hashes accepted by ``?at=`` / version tagging.
 _HEX_HASH = re.compile(r"^[0-9a-f]{8,64}$")
 
@@ -204,6 +208,11 @@ def _dumps(payload: object) -> bytes:
 #: (404 unknown path, 405 wrong method): raw paths would mint one
 #: series per distinct URL.
 _UNMATCHED = "(unmatched)"
+
+
+def _unknown_workspace(ws_id: str) -> ServiceError:
+    """The 404 for a workspace id naming no regular file."""
+    return ServiceError(404, f"unknown workspace {ws_id!r}")
 
 
 def _http_requests() -> _obs_metrics.Counter:
@@ -1092,9 +1101,16 @@ class ServiceApp:
         ws_id = request.path_params["id"]
         path = self._resolve(state, ws_id)
         options = self._verb_options(verb, request.params)
-        config_hash = "" if options is None else eval_config_hash(options)
+        if options is None:
+            config_hash = ""
+        elif options is _RANKING_OPTIONS:
+            config_hash = _RANKING_CONFIG
+        else:
+            config_hash = eval_config_hash(options)
         key = (verb, ws_id, config_hash)
         at = request.params.get("at")
+        if at is not None and not path.is_file():
+            raise _unknown_workspace(ws_id)
         etag = None
         try:
             if at is None:
@@ -1168,14 +1184,15 @@ class ServiceApp:
 
     @staticmethod
     def _resolve(state: RegistryState, ws_id: str) -> Path:
-        """The registry file behind a workspace id (404 when absent)."""
+        """The registry file behind a workspace id (400 when malformed).
+
+        Not stat'ed here: a live read's probe stats the file anyway and
+        answers 404 when it is no regular file; a pinned read checks.
+        """
         segments = ws_id.split("/")
         if not ws_id or any(s in ("", ".", "..") for s in segments):
             raise ServiceError(400, f"invalid workspace id {ws_id!r}")
-        path = state.root / (ws_id + ".json")
-        if not path.is_file():
-            raise ServiceError(404, f"unknown workspace {ws_id!r}")
-        return path
+        return state.root / (ws_id + ".json")
 
     def _verb_options(
         self, verb: str, params: Mapping[str, object]
@@ -1188,7 +1205,7 @@ class ServiceApp:
         serves fresh results while every other cached row stays valid.
         """
         if verb == "ranking":
-            return BatchOptions()
+            return _RANKING_OPTIONS
         if verb == "montecarlo":
             return BatchOptions(
                 simulations=int(params["simulations"]),  # type: ignore[arg-type]
@@ -1230,6 +1247,8 @@ class ServiceApp:
         """
         index = state.index
         record, status, _ = index.examine(path)
+        if status != "fresh" and not path.is_file():
+            raise _unknown_workspace(ws_id)
         recordable = not index.read_only
         if status == "fresh" and not (recordable and index.needs_restamp(record)):
             return record

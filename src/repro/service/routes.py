@@ -226,6 +226,12 @@ class _Compiled:
                 f"{route.template}: at most one greedy segment allowed"
             )
         self.rest_at = rest_positions[0] if rest_positions else None
+        #: the template's last segment when it is a literal, else None
+        self.last_literal = (
+            self.segments[-1][1]
+            if self.segments and self.segments[-1][0] == "literal"
+            else None
+        )
 
     def match(self, parts: Sequence[str]) -> Optional[Dict[str, str]]:
         """Path params when ``parts`` matches this template, else None."""
@@ -273,7 +279,16 @@ class Router:
         if len(set(names)) != len(names):
             raise ValueError("route names must be unique")
         self.routes: Tuple[Route, ...] = tuple(routes)
-        self._compiled = [_Compiled(route) for route in routes]
+        compiled = [_Compiled(route) for route in routes]
+        # A template ending in a literal matches only paths ending in
+        # it, so a path's last segment picks its candidates, in table
+        # order (first match and the 405 ``Allow`` set are unchanged);
+        # a template ending in a parameter is a candidate for any path.
+        self._any_last = [c for c in compiled if c.last_literal is None]
+        self._by_last: Dict[str, List[_Compiled]] = {
+            last: [c for c in compiled if c.last_literal in (None, last)]
+            for last in {c.last_literal for c in compiled} - {None}
+        }
 
     def match(self, method: str, path: str) -> Tuple[Route, Dict[str, str]]:
         """Resolve one request line to ``(route, path_params)``.
@@ -283,8 +298,13 @@ class Router:
         matches under a different method.
         """
         parts = [p for p in path.split("/") if p]
+        candidates = (
+            self._by_last.get(parts[-1], self._any_last)
+            if parts
+            else self._any_last
+        )
         allowed: List[str] = []
-        for compiled in self._compiled:
+        for compiled in candidates:
             params = compiled.match(parts)
             if params is None:
                 continue

@@ -300,6 +300,45 @@ class TestRunnerDeltaPath:
         assert report.skipped == reference.skipped
         assert report.results == reference.results
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_edit_that_no_longer_parses_is_read_once(
+        self, tmp_path, monkeypatch, workers
+    ):
+        """The probe's failed ingest is the skip: no chunk, and no pool,
+        reads and parses the file again to raise the same error."""
+        paths = self._registry(tmp_path, n=3)
+        runner = ShardedRunner(workers=workers)
+        seen = {"parse": 0, "pool": 0}
+
+        def counted_load(*args, **kwargs):
+            seen["parse"] += 1
+            return real_load(*args, **kwargs)
+
+        class CountedPool(runtime.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                seen["pool"] += 1
+                super().__init__(*args, **kwargs)
+
+        real_load = workspace.load
+        with RegistryIndex(tmp_path / "index.sqlite") as index:
+            runner.run(paths, index=index)
+            paths[1].write_text("{ not json")
+            monkeypatch.setattr(workspace, "load", counted_load)
+            monkeypatch.setattr(runtime, "ProcessPoolExecutor", CountedPool)
+            report = runner.run(paths, index=index)
+            monkeypatch.undo()
+        indexless = ShardedRunner(workers=1).run(paths)
+        assert seen == {"parse": 1, "pool": 0}
+        assert [(s.path, s.error) for s in report.skipped] == [
+            (
+                str(paths[1]),
+                "JSONDecodeError: Expecting property name enclosed in "
+                "double quotes: line 1 column 3 (char 2)",
+            )
+        ]
+        assert report.skipped == indexless.skipped
+        assert report.results == indexless.results
+
     def test_refresh_and_no_index_never_take_delta_path(self, tmp_path):
         paths = self._registry(tmp_path, n=2)
         runner = ShardedRunner(workers=1, options=BatchOptions())

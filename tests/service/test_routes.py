@@ -95,6 +95,46 @@ class TestRouter:
         route = Route("GET", "/v1/ws/{id...}/rank", "_h", "rank", "t")
         assert route.label == "/v1/ws/{id}/rank"
 
+    def test_lookup_by_last_segment_answers_as_a_full_scan(self):
+        """The router tries only templates that can end like the path;
+        every answer must be what trying all of ROUTES in order gives."""
+        from repro.service.routes import _Compiled
+
+        def scan(method, path):
+            parts = [p for p in path.split("/") if p]
+            allowed = []
+            for route in ROUTES:
+                params = _Compiled(route).match(parts)
+                if params is not None:
+                    if route.method == method:
+                        return route.name, params
+                    allowed.append(route.method)
+            return (405, ", ".join(sorted(set(allowed)))) if allowed else 404
+
+        def routed(method, path):
+            try:
+                route, params = Router(ROUTES).match(method, path)
+            except ServiceError as exc:
+                if exc.status == 405:
+                    return 405, exc.headers["Allow"]
+                return exc.status
+            return route.name, params
+
+        paths = ["/", "//", "/v1", "/nope", "/v1/ranking", "/v1/registries/"]
+        for route in ROUTES:
+            for fill in ("a", "a/b", "ranking", "versions/ranking", "registry"):
+                paths.append(
+                    route.template.replace("{id...}", fill)
+                    .replace("{registry}", fill.split("/")[0])
+                    .replace("{name}", fill)
+                )
+        for path in paths:
+            for suffix in ("", "/", "/x", "/ranking"):
+                for method in ("GET", "POST", "DELETE", "PUT"):
+                    assert routed(method, path + suffix) == scan(
+                        method, path + suffix
+                    ), (method, path + suffix)
+
 
 class TestCoercion:
     ROUTE = Route(
